@@ -9,16 +9,19 @@ owner beats any number of colluder answers, which necessarily sit
 further clockwise.
 
 Routing tables are derived from the live ring on demand, which keeps
-fingers and successor lists exact under churn.
+fingers and successor lists exact under churn; a hop whose successor
+list covers the target names its predecessor directly (_window_covers).
+Stores hold first-hand counts only: the join order of late nodes, from
+which first_hand_score derives the join prior, is kept on the network.
 """
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 
-from .idspace import Ring, clockwise_closest, ring_distance, sample_ids
+from .idspace import (DEFAULT_BITS, Ring, clockwise_closest, ring_distance,
+                      sample_ids)
 from .reputation import ReputationStore
 
-DEFAULT_BITS = 32
 REDUNDANCY = 10
 BUCKET_SIZE = 2
 SUCCESSOR_COUNT = 8
@@ -92,8 +95,7 @@ class HaloNetwork:
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
-                 redundancy=REDUNDANCY, join_score=JOIN_SCORE,
-                 route_window=None):
+                 redundancy=REDUNDANCY):
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
         if not 0.0 <= colluding < 1.0:
@@ -102,11 +104,7 @@ class HaloNetwork:
         self.space = 1 << bits
         self.bucket_size = bucket_size
         self.successor_count = successor_count
-        # how much of the successor list routing may short-circuit over
-        self.route_window = successor_count if route_window is None \
-            else route_window
         self.redundancy = redundancy
-        self.join_score = join_score
         self.rng = random.Random(seed)
         ids = sample_ids(n, self.rng, bits)
         self.ring = Ring(ids, bits)
@@ -114,11 +112,11 @@ class HaloNetwork:
         self.malicious = set(bad)
         self.colluders = sorted(bad)
         self.stores = {
-            v: ReputationStore(join_score=join_score,
-                               seed=self.rng.randrange(1 << 30))
+            v: ReputationStore(seed=self.rng.randrange(1 << 30))
             for v in ids if v not in self.malicious
         }
         self.score_overrides = {}   # node -> {contact -> shared score}
+        self.joined = {}            # live late joiner -> join order
         self._used_ids = set(ids)
         self.serial = 0
 
@@ -148,20 +146,25 @@ class HaloNetwork:
             out.append(cur)
         return out
 
+    def first_hand_score(self, nid, contact):
+        """nid's own score for contact, smoothed toward JOIN_SCORE when
+        contact joined after nid and toward the neutral prior else."""
+        order = self.joined.get(contact)
+        if order is not None and order > self.joined.get(nid, -1):
+            return self.stores[nid].score((contact,), JOIN_SCORE)
+        return self.stores[nid].score((contact,))
+
     def contact_score(self, nid, contact):
-        """Score nid assigns contact: shared override first, then own."""
+        """Score nid assigns contact: the shared override the exchange
+        installed, else nid's first-hand score."""
         shared = self.score_overrides.get(nid)
         if shared is not None and contact in shared:
             return shared[contact]
-        return self.stores[nid].score((contact,))
-
-    def select_contact(self, nid, candidates):
-        store = self.stores[nid]
-        return store.select_max(candidates,
-                                score_fn=lambda c: self.contact_score(nid, c))
+        return self.first_hand_score(nid, contact)
 
     def leave(self, nid):
         self.ring.remove(nid)
+        self.joined.pop(nid, None)
         if nid in self.malicious:
             self.malicious.discard(nid)
             i = bisect_left(self.colluders, nid)
@@ -173,26 +176,23 @@ class HaloNetwork:
     def join(self, malicious=False):
         """Add one node under a fresh uniform id, never reusing an id.
 
-        Every honest node pins the low join score on the newcomer, so a
-        white-washing rejoin starts below any established track record.
+        Its join order is recorded, so nodes already live score it from
+        the low JOIN_SCORE and a white-washing rejoin starts below any
+        established track record.
         """
         while True:
             nid = self.rng.randrange(self.space)
             if nid not in self._used_ids:
                 break
         self._used_ids.add(nid)
+        self.joined[nid] = len(self._used_ids)   # grows with every join
         self.ring.add(nid)
         if malicious:
             self.malicious.add(nid)
             insort(self.colluders, nid)
         else:
             self.stores[nid] = ReputationStore(
-                join_score=self.join_score,
                 seed=self.rng.randrange(1 << 30))
-        if self.join_score is not None:
-            mark = (nid,)
-            for store in self.stores.values():
-                store.priors[mark] = self.join_score
         return nid
 
 
@@ -238,24 +238,34 @@ def knuckles(net, target):
     return out
 
 
+def _window_covers(net, v, d, window):
+    """Whether the point d clockwise of live node v lies within v's
+    first window successors (capped at successor_count and the other
+    live nodes), so v can name both its predecessor and owner itself."""
+    ids = net.ring.ids
+    w = min(window, net.successor_count, len(ids) - 1)
+    if w <= 0:
+        return False
+    last = ids[(bisect_right(ids, v) + w - 1) % len(ids)]
+    return d <= ring_distance(v, last, net.bits)
+
+
 def chord_next_hop(net, v, target, successors_window=0, avoid=()):
     """v's finger landing closest to target without reaching it.
 
     Returns v itself when no finger makes progress, meaning v is
-    target's predecessor.  With successors_window > 0, v checks that
-    many entries of its successor list first and hands back target's
-    predecessor directly when target falls inside.  Contacts in avoid
-    are sidestepped via bucket alternates when possible, which keeps
-    redundant subsearches on disjoint paths.
+    target's predecessor.  With successors_window > 0, v first checks
+    that many entries of its successor list (at most successor_count;
+    see _window_covers) and hands back target's predecessor directly
+    when target falls inside.  Contacts in avoid are sidestepped via
+    bucket alternates when possible, which keeps redundant subsearches
+    on disjoint paths.
     """
     d = ring_distance(v, target, net.bits)
     if d == 0:
         return v
-    if successors_window:
-        succ = net.ring.successors(v, min(successors_window,
-                                          net.successor_count))
-        if succ and d <= ring_distance(v, succ[-1], net.bits):
-            return net.ring.predecessor(target)
+    if _window_covers(net, v, d, successors_window):
+        return net.ring.predecessor(target)
     fallback = None
     i = d.bit_length() - 1
     while i >= 0:
@@ -279,43 +289,34 @@ def _bucket_progress(net, v, offset, d):
     return out
 
 
-def reds_next_hop(net, v, target, store=None, avoid=()):
+def reds_next_hop(net, v, target, avoid=()):
     """Reputation-guided next hop: v picks the best-scored member of the
     finger bucket nearest the remaining distance.
 
-    Selection is deterministic maximum score; equal scores fall back to
-    path diversity, then to the selector's sticky seeded tie-break.  A
-    bucket whose members all score below the newcomer baseline (they
-    have been observed doing worse than a node with no history at all)
-    is skipped for the next farther bucket, trading a little progress
-    for a contact not known to be bad.  v must be honest (it needs a
-    reputation store).
+    Like chord_next_hop, v first short-circuits over its whole successor
+    list.  Scores are v's contact_score: the shared override, else its
+    first-hand score.  Selection is deterministic maximum score; equal
+    scores fall back to path diversity, then to the selector's sticky
+    seeded tie-break.  A bucket whose members all score below
+    JOIN_SCORE (they have been observed doing worse than a newcomer
+    with no history at all) is skipped for the next farther bucket,
+    trading a little progress for a contact not known to be bad.  v
+    must be a live honest node (it needs a reputation store).
     """
     d = ring_distance(v, target, net.bits)
     if d == 0:
         return v
-    if net.route_window:
-        succ = net.ring.successors(v, min(net.route_window,
-                                          net.successor_count))
-        if succ and d <= ring_distance(v, succ[-1], net.bits):
-            return net.ring.predecessor(target)
-    if store is None:
-        if v not in net.stores:
-            return chord_next_hop(net, v, target, avoid=avoid)
-        owner_store = net.stores[v]
-        score = lambda c: net.contact_score(v, c)
-    else:
-        owner_store = store
-        score = lambda c: store.score((c,))
+    if _window_covers(net, v, d, net.successor_count):
+        return net.ring.predecessor(target)
+    store = net.stores[v]
+    score = lambda c: net.contact_score(v, c)
 
     def pick_from(members):
         best = max(score(c) for c in members)
         top = [c for c in members if score(c) == best]
         fresh = [c for c in top if c not in avoid] or top
-        return owner_store.select_max(fresh, score_fn=score), best
+        return store.select_max(fresh, score_fn=score), best
 
-    floor = net.join_score if net.join_score is not None \
-        else owner_store.prior
     nearest = None
     for i in range(d.bit_length() - 1, -1, -1):
         usable = _bucket_progress(net, v, i, d)
@@ -324,20 +325,10 @@ def reds_next_hop(net, v, target, store=None, avoid=()):
         cand, best = pick_from(usable)
         if nearest is None:
             nearest = cand
-        if best >= floor:
+        if best >= JOIN_SCORE:
             return cand
     # every bucket looks bad; stick with the nearest bucket's best
     return v if nearest is None else nearest
-
-
-def _window_covers(net, u, y):
-    """Whether u holds y's region in its successor list, so u can name
-    both pred(y) and owner(y) itself."""
-    if not net.route_window:
-        return False
-    succ = net.ring.successors(u, min(net.route_window, net.successor_count))
-    return bool(succ) and ring_distance(u, y, net.bits) <= \
-        ring_distance(u, succ[-1], net.bits)
 
 
 def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
@@ -358,17 +349,15 @@ def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
     while guard:
         guard -= 1
         if cur == origin:
-            if mode in REPUTED_MODES:
-                nxt = reds_next_hop(net, cur, y, avoid=avoid)
-            else:
-                nxt = chord_next_hop(net, cur, y,
-                                     successors_window=net.route_window,
-                                     avoid=avoid)
-        elif mode in ("collaborative", "shared") and cur not in net.malicious:
+            reputed = mode in REPUTED_MODES
+        else:
+            reputed = mode in ("collaborative", "shared") and \
+                cur not in net.malicious
+        if reputed:
             nxt = reds_next_hop(net, cur, y, avoid=avoid)
         else:
             nxt = chord_next_hop(net, cur, y,
-                                 successors_window=net.route_window,
+                                 successors_window=net.successor_count,
                                  avoid=avoid)
         if nxt == cur:
             return cur, path, None, False
@@ -376,8 +365,8 @@ def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
         if attacked and nxt in net.malicious:
             kind = "start" if len(path) == 1 else (
                 "knuckle" if nxt == net.ring.predecessor(y) else "path")
-            covered = nxt == net.ring.predecessor(y) and \
-                _window_covers(net, cur, y)
+            covered = nxt == net.ring.predecessor(y) and _window_covers(
+                net, cur, ring_distance(cur, y, net.bits), net.successor_count)
             return None, path, kind, covered
         cur = nxt
     return cur, path, None, False
@@ -425,8 +414,9 @@ def halo_lookup(net, origin, target, redundancy=None, mode="regular",
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
-    if origin in net.malicious:
-        raise ValueError("lookup origin must be honest")
+    if origin not in net.stores:
+        raise ValueError("lookup origin %r is not a live honest node"
+                         % (origin,))
     r = net.redundancy if redundancy is None else redundancy
     if r < 1:
         raise ValueError("redundancy must be positive")

@@ -23,10 +23,10 @@ itself the true root tests no contact and records nothing.
 import random
 from bisect import bisect_left, insort
 
-from .idspace import sample_ids, shared_prefix_bits, xor_closest, xor_distance
+from .idspace import (DEFAULT_BITS, sample_ids, shared_prefix_bits,
+                      xor_closest, xor_distance)
 from .reputation import ReputationStore
 
-DEFAULT_BITS = 32
 DEFAULT_K = 10
 DEFAULT_ALPHA = 7
 DEFAULT_BETA = 3
@@ -168,7 +168,7 @@ class KadNetwork:
         lookup: it records no scores, takes no attack serial, and
         colluders perform it too."""
         _iterate(self, v, v, "regular", False, None,
-                 self.k, self.alpha, self.beta)
+                 self.k, self.alpha, self.beta, set(self.replica_roots(v)))
 
     def is_malicious(self, nid):
         return nid in self.malicious
@@ -403,9 +403,10 @@ def _nominate(net, v, key, attacked, roots):
     return v if v in roots else None
 
 
-def _iterate(net, q, key, mode, attacked, store, k, alpha, beta):
+def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
     """Core of the iterative search: returns graph, nominations,
-    queried, dead, shortlist, and step count.
+    queried, dead, shortlist, and step count.  roots is the set of
+    key's replica roots.
 
     Keeps a shortlist of the k closest contacts heard of, querying the
     alpha best unqueried entries each step: closest-first normally, or
@@ -419,7 +420,6 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta):
     then be the closest root found.
     """
     node_q = net.nodes[q]
-    roots = set(net.replica_roots(key))
     reds = mode in REPUTED_MODES and store is not None
     graph = LookupGraph(q)
     dist = {}
@@ -489,8 +489,8 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
-    if net.is_malicious(q):
-        raise ValueError("querying node is malicious")
+    if q not in net.stores:
+        raise ValueError("querier %r is not a live honest node" % (q,))
     alpha = net.alpha if alpha is None else alpha
     beta = net.beta if beta is None else beta
     k = net.k if k is None else k
@@ -498,9 +498,11 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
         else False
     net.serial += 1
     store = net.stores[q]
-    truth = net.truth_root(key)
+    nearest = net.replica_roots(key)
+    truth = nearest[0] if nearest else None
+    roots = set(nearest)
     graph, nominated, queried, dead, shortlist, step = _iterate(
-        net, q, key, mode, attacked, store, k, alpha, beta)
+        net, q, key, mode, attacked, store, k, alpha, beta, roots)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
     success = closest_root is not None and closest_root == truth
@@ -515,7 +517,6 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
         for u in credited:
             if u != q and u not in queried and u not in dead:
                 store.record((u,), True)
-    roots = set(net.replica_roots(key))
     return KadLookupOutcome(key, [u for _, u in shortlist[:k]],
                             frozenset(u for u in nominated if u in roots),
                             closest_root, success, graph, step, queried)

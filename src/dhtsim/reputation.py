@@ -79,8 +79,10 @@ class ReputationStore:
         for d in range(1, depth + 1):
             self.record(tuple(path[:d]), success)
 
-    def score(self, key):
-        prior = self.priors.get(key, self.prior)
+    def score(self, key, prior=None):
+        """Smoothed success rate of key; prior overrides the key's own."""
+        if prior is None:
+            prior = self.priors.get(key, self.prior)
         entry = self.counts.get(key)
         if entry is None:
             return prior

@@ -30,18 +30,6 @@ def _clamp(value):
     return min(1.0, max(0.0, value))
 
 
-class Epoch:
-    """Exchange schedule marker: scores go out at boundaries only,
-    duration lookups apart."""
-
-    def __init__(self, index=0, duration=1):
-        self.index = index
-        self.duration = duration
-
-    def next(self):
-        return Epoch(self.index + 1, self.duration)
-
-
 class ScoringBin:
     """Received scores admitted for one finger.
 
@@ -49,8 +37,7 @@ class ScoringBin:
     itself an entry; an empty bin falls back to it.
     """
 
-    def __init__(self, finger, own):
-        self.finger = finger
+    def __init__(self, own):
         self.own = _clamp(own)
         self.entries = []
 
@@ -94,7 +81,7 @@ def aggregate(method, own, received, rng=None):
         return statistics.median(received)
     if rng is None:
         rng = random.Random(0)
-    bin_ = ScoringBin(None, own)
+    bin_ = ScoringBin(own)
     for v in received:
         bin_.offer(v, rng)
     return bin_.median()
@@ -175,11 +162,9 @@ class SharedExchange:
     where routing reads it in place of the first-hand score.
     """
 
-    def __init__(self, net, method="dropoff", duration=1, seed=0,
-                 adversarial=True):
+    def __init__(self, net, method="dropoff", seed=0, adversarial=True):
         self.net = net
         self.method = _canon_method(method)
-        self.epoch = Epoch(0, duration)
         self.rng = random.Random(seed)
         self.adversarial = adversarial
         self.last_sent = {}   # (sender, finger) -> last broadcast value
@@ -205,7 +190,6 @@ class SharedExchange:
         first-hand score moved since the previous boundary.
         """
         net = self.net
-        self.epoch = self.epoch.next()
         holders = self.finger_holders()
         self._prune(holders)
         sent = 0
@@ -215,7 +199,7 @@ class SharedExchange:
                 continue
             table = self.reports.setdefault(f, {})
             for k in honest:
-                r = net.stores[k].score((f,))
+                r = net.first_hand_score(k, f)
                 if self.last_sent.get((k, f)) != r:
                     self.last_sent[(k, f)] = r
                     table[k] = r
@@ -223,7 +207,7 @@ class SharedExchange:
             n_bad = len(hs) - len(honest)
             goal = 1.0 if net.is_malicious(f) else 0.0
             for j in honest:
-                own = net.stores[j].score((f,))
+                own = net.first_hand_score(j, f)
                 received = [v for s, v in table.items() if s != j]
                 if self.adversarial and n_bad:
                     truth = statistics.fmean(received) if received else own

@@ -6,11 +6,14 @@ from dhtsim.adversary import AttackPolicy
 from dhtsim.halonet import (
     BAD_NODE_IN_PATH,
     FAILURE_REASONS,
+    JOIN_SCORE,
     KNUCKLE_COLLUDER,
     KNUCKLE_NONEXISTENT,
+    MODES,
     START_COLLUDER,
     HaloNetwork,
     _route_to_predecessor,
+    _window_covers,
     build_halo,
     chord_next_hop,
     classify_failure,
@@ -20,6 +23,7 @@ from dhtsim.halonet import (
     reds_next_hop,
 )
 from dhtsim.idspace import Ring, ring_distance
+from dhtsim.reputation import DEFAULT_PRIOR
 
 
 def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
@@ -148,6 +152,27 @@ def test_chord_next_hop_successor_window():
     far = (v + net.space // 2) % net.space
     assert chord_next_hop(net, v, far, successors_window=True) == \
         chord_next_hop(net, v, far)
+
+
+def test_window_covers_matches_successor_list():
+    rng = random.Random(36)
+    seen = set()
+    for trial in range(40):
+        net = small_net(rng.randint(10, 40), seed=rng.randrange(999), bits=10)
+        if trial % 4 == 0:
+            # leaves shrink the ring below successor_count + 1 nodes
+            keep = rng.randint(1, net.successor_count)
+            for nid in rng.sample(net.ring.ids, len(net.ring) - keep):
+                net.leave(nid)
+        for _ in range(50):
+            v = rng.choice(net.ring.ids)
+            d = ring_distance(v, rng.randrange(net.space), net.bits)
+            window = rng.randint(0, net.successor_count + 2)
+            succ = net.ring.successors(v, min(window, net.successor_count))
+            want = bool(succ) and d <= ring_distance(v, succ[-1], net.bits)
+            assert _window_covers(net, v, d, window) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_route_reaches_predecessor():
@@ -320,6 +345,11 @@ def test_lookup_argument_errors():
         halo_lookup(net, good, 1, redundancy=0)
     with pytest.raises(ValueError):
         halo_lookup(net, good, 1, mode="bogus")
+    gone = net.honest_nodes()[1]
+    net.leave(gone)
+    for mode in MODES:
+        with pytest.raises(ValueError):
+            halo_lookup(net, gone, 1, mode=mode)
 
 
 def test_churn_ops_and_fresh_ids():
@@ -338,6 +368,38 @@ def test_churn_ops_and_fresh_ids():
         seen.add(new)
         assert (new in net.malicious) == (new in set(net.colluders))
     assert len(net.ring) == 100
+    assert net.joined and set(net.joined) <= set(net.ring.ids)
+    assert all(not store.priors for store in net.stores.values())
+
+
+def test_join_prior_follows_join_order():
+    # reference: each honest store pins JOIN_SCORE on every node that
+    # joins while the store exists
+    net = build_halo(100, colluding=0.2, seed=37)
+    rng = random.Random(38)
+    pinned = {v: set() for v in net.stores}
+    for _ in range(60):
+        if rng.random() < 0.5:
+            net.leave(rng.choice(net.ring.ids))
+        new = net.join(malicious=rng.random() < 0.2)
+        if new in net.stores:
+            pinned[new] = set()
+        for v in net.stores:
+            pinned[v].add(new)
+    for v in net.stores:
+        for c in net.ring.ids:
+            if c != v:
+                want = JOIN_SCORE if c in pinned[v] else DEFAULT_PRIOR
+                assert net.first_hand_score(v, c) == want
+                assert net.contact_score(v, c) == want
+    early = net.honest_nodes()
+    late = net.join()
+    later = net.join()
+    assert all(net.first_hand_score(v, late) == JOIN_SCORE for v in early)
+    assert net.first_hand_score(later, late) == DEFAULT_PRIOR
+    assert net.first_hand_score(late, later) == JOIN_SCORE
+    net.stores[early[0]].record((late,), True)
+    assert net.first_hand_score(early[0], late) == (1 + JOIN_SCORE) / 2
 
 
 def test_lookup_deterministic_for_seed():

@@ -5,6 +5,7 @@ import pytest
 from dhtsim.adversary import AttackPolicy
 from dhtsim.idspace import shared_prefix_bits, xor_distance
 from dhtsim.kadnet import (
+    MODES,
     LookupGraph,
     build_kad,
     bucket_insert,
@@ -252,6 +253,14 @@ class TestLookup:
         bad = next(iter(net.malicious))
         with pytest.raises(ValueError):
             kad_lookup(net, bad, 17)
+
+    def test_departed_querier_rejected(self):
+        net = build_kad(100, colluding=0.2, seed=5)
+        gone = net.honest_nodes()[0]
+        net.leave(gone)
+        for mode in MODES:
+            with pytest.raises(ValueError):
+                kad_lookup(net, gone, 17, mode=mode)
 
     def test_unknown_mode_rejected(self):
         net = build_kad(50, seed=5)

@@ -81,8 +81,8 @@ def test_scoring_bin_admission():
     # a report equal to the own score is always admitted, a report at
     # distance one never is
     rng = random.Random(1)
-    always = ScoringBin(None, 0.5)
-    never = ScoringBin(None, 0.0)
+    always = ScoringBin(0.5)
+    never = ScoringBin(0.0)
     for _ in range(500):
         assert always.offer(0.5, rng)
         assert not never.offer(1.0, rng)
@@ -104,7 +104,7 @@ def test_expected_dropoff_bin_composition():
     honest = malicious = 0
     trials = 20000
     for _ in range(trials):
-        b = ScoringBin(None, 0.3)
+        b = ScoringBin(0.3)
         honest += sum(b.offer(0.1, rng) for _ in range(5))
         malicious += sum(b.offer(1.0, rng) for _ in range(6))
     assert honest / trials == pytest.approx(4.0, abs=0.05)
