@@ -108,24 +108,34 @@ def xor_closest(ids, key, count=1, bits=DEFAULT_BITS):
 
     Walks the implicit binary trie of the sorted array, descending into
     the half matching key's bit first, so ids come out in exact XOR
-    order without scoring the whole array.
+    order without scoring the whole array.  The trie is path-compressed:
+    a range holding one id yields it at once, and a range whose ids all
+    share their bits above some level skips straight to that level,
+    since key's bits there order none of them.  The levels come from
+    the ids themselves, so bits does not change the result.
     """
     out = []
-    _xor_walk(ids, 0, len(ids), bits - 1, key, 0, count, out)
+    _xor_walk(ids, 0, len(ids), key, count, out)
     return out
 
 
-def _xor_walk(ids, lo, hi, bit, key, prefix, count, out):
+def _xor_walk(ids, lo, hi, key, count, out):
     if lo >= hi or len(out) >= count:
         return
+    if hi - lo == 1:
+        out.append(ids[lo])
+        return
+    first = ids[lo]
+    # highest bit at which the range's ids differ; -1 for copies of one id
+    bit = (first ^ ids[hi - 1]).bit_length() - 1
     if bit < 0:
         out.extend(ids[lo:hi][: count - len(out)])
         return
-    split = prefix | (1 << bit)
+    split = (first >> bit | 1) << bit
     mid = bisect_left(ids, split, lo, hi)
-    if key & (1 << bit):
-        _xor_walk(ids, mid, hi, bit - 1, key, split, count, out)
-        _xor_walk(ids, lo, mid, bit - 1, key, prefix, count, out)
+    if key >> bit & 1:
+        _xor_walk(ids, mid, hi, key, count, out)
+        _xor_walk(ids, lo, mid, key, count, out)
     else:
-        _xor_walk(ids, lo, mid, bit - 1, key, prefix, count, out)
-        _xor_walk(ids, mid, hi, bit - 1, key, split, count, out)
+        _xor_walk(ids, lo, mid, key, count, out)
+        _xor_walk(ids, mid, hi, key, count, out)

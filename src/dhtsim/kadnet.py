@@ -168,7 +168,7 @@ class KadNetwork:
         lookup: it records no scores, takes no attack serial, and
         colluders perform it too."""
         _iterate(self, v, v, "regular", False, None,
-                 self.k, self.alpha, self.beta, set(self.replica_roots(v)))
+                 self.k, self.alpha, self.beta, self.replica_roots(v))
 
     def is_malicious(self, nid):
         return nid in self.malicious
@@ -336,8 +336,8 @@ def credit_reputation(q, graph, closest_root):
     return credited
 
 
-def _respond(net, v, key, attacked, mode, beta):
-    """Contacts v returns for key.
+def _respond(net, v, key, attacked, mode, beta, truth):
+    """Contacts v returns for key, whose true root is truth (or None).
 
     Honest nodes normally answer with the closest contacts they know;
     under collaborative boosting they answer with the contacts they
@@ -364,7 +364,6 @@ def _respond(net, v, key, attacked, mode, beta):
         if attacked:
             return net.closest_colluders(key, beta)
         out = []
-        truth = net.truth_root(key)
         if truth is not None and node.knows(truth):
             out.append(truth)
         for u in xor_closest(node.sorted_contacts, key, beta, net.bits):
@@ -382,8 +381,9 @@ def _respond(net, v, key, attacked, mode, beta):
     return xor_closest(node.sorted_contacts, key, beta, net.bits)
 
 
-def _nominate(net, v, key, attacked, roots):
-    """The id v offers the querier as final answer, or None.
+def _nominate(net, v, key, attacked, roots, truth):
+    """The id v offers the querier as final answer, or None.  roots
+    holds key's replica roots and truth the closest of them.
 
     Replica roots identify themselves when queried.  An attacked
     colluder instead names the colluder closest to the key.  A
@@ -397,7 +397,6 @@ def _nominate(net, v, key, attacked, roots):
         floor = shared_prefix_bits(v, key, net.bits) + 1
         if any(m != v for m in net.colluders_within(key, floor)):
             return v if v in roots else None
-        truth = net.truth_root(key)
         if truth is not None and net.nodes[v].knows(truth):
             return truth
     return v if v in roots else None
@@ -405,8 +404,8 @@ def _nominate(net, v, key, attacked, roots):
 
 def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
     """Core of the iterative search: returns graph, nominations,
-    queried, dead, shortlist, and step count.  roots is the set of
-    key's replica roots.
+    queried, dead, shortlist, and step count.  roots lists key's
+    replica roots, nearest first, as replica_roots gives them.
 
     Keeps a shortlist of the k closest contacts heard of, querying the
     alpha best unqueried entries each step: closest-first normally, or
@@ -419,6 +418,8 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
     q is itself a replica root it nominates itself instead, and can
     then be the closest root found.
     """
+    truth = roots[0] if roots else None
+    roots = set(roots)
     node_q = net.nodes[q]
     reds = mode in REPUTED_MODES and store is not None
     graph = LookupGraph(q)
@@ -456,8 +457,8 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
                     store.on_leave((v,))
                 continue
             returned = [u for u in _respond(net, v, key, attacked,
-                                            mode, beta) if u != q]
-            answer = _nominate(net, v, key, attacked, roots)
+                                            mode, beta, truth) if u != q]
+            answer = _nominate(net, v, key, attacked, roots, truth)
             if answer is not None:
                 nominated.add(answer)
                 if answer not in returned and answer not in (v, q):
@@ -498,9 +499,8 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
         else False
     net.serial += 1
     store = net.stores[q]
-    nearest = net.replica_roots(key)
-    truth = nearest[0] if nearest else None
-    roots = set(nearest)
+    roots = net.replica_roots(key)
+    truth = roots[0] if roots else None
     graph, nominated, queried, dead, shortlist, step = _iterate(
         net, q, key, mode, attacked, store, k, alpha, beta, roots)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),

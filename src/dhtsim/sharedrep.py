@@ -97,20 +97,36 @@ def expected_dropoff(n_h, n_m, r_h, r_m, r_k):
     nonzero tie (median averages the two values), and e the expected
     aggregate with the remaining probability mass landing on r_m.
     """
+    _check_dropoff(n_h, n_m, r_h, r_m, r_k)
+    return _dropoff(_admission(n_h, r_h, r_k), n_m, r_h, r_m, r_k)
+
+
+def _check_dropoff(n_h, n_m, *scores):
     if n_h < 0 or n_m < 0:
         raise ValueError("negative reporter count")
-    for r in (r_h, r_m, r_k):
+    for r in scores:
         if not 0.0 <= r <= 1.0:
             raise ValueError("score outside [0, 1]")
-    d_h = abs(r_h - r_k)
-    d_m = abs(r_m - r_k)
-    admit_h = [comb(n_h, i) * (1.0 - d_h) ** i * d_h ** (n_h - i)
-               for i in range(n_h + 1)]
-    admit_m = [comb(n_m, j) * (1.0 - d_m) ** j * d_m ** (n_m - j)
-               for j in range(n_m + 1)]
+
+
+def _admission(n, r, r_k):
+    """Chance that exactly i of n reports of r enter a bin owned at
+    r_k, for i = 0..n."""
+    d = abs(r - r_k)
+    return [comb(n, i) * (1.0 - d) ** i * d ** (n - i)
+            for i in range(n + 1)]
+
+
+def _dropoff(admit_h, n_m, r_h, r_m, r_k):
+    """expected_dropoff with the honest admission pmf precomputed,
+    which does not depend on r_m."""
+    n_h = len(admit_h) - 1
+    admit_m = _admission(n_m, r_m, r_k)
+    # below[m]: chance that fewer than m malicious reports are admitted
+    below = [sum(admit_m[:m]) for m in range(n_m + 2)]
     p = 0.0
     for i in range(1, n_h + 1):
-        p += admit_h[i] * sum(admit_m[: min(i, n_m + 1)])
+        p += admit_h[i] * below[min(i, n_m + 1)]
     q = sum(admit_h[i] * admit_m[i] for i in range(1, min(n_h, n_m) + 1))
     e = p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
     return p, q, e
@@ -132,12 +148,13 @@ def adversarial_report(method, target_own_score, truth, goal=None,
         goal = 1.0 if truth < 0.5 else 0.0
     if method in ("average", "median"):
         return goal
+    _check_dropoff(n_honest, n_malicious, truth, target_own_score)
+    admit_h = _admission(n_honest, truth, target_own_score)
     best_r = goal
     best_val = None
     for s in range(steps + 1):
         r = s / steps
-        _, _, e = expected_dropoff(n_honest, n_malicious,
-                                   truth, r, target_own_score)
+        _, _, e = _dropoff(admit_h, n_malicious, truth, r, target_own_score)
         val = e if goal >= 0.5 else -e
         if best_val is None or val > best_val:
             best_val, best_r = val, r

@@ -167,6 +167,51 @@ def test_xor_closest_not_always_sorted_neighbor():
     assert xor_closest(ids, 8, 1, bits=4) == [0]
 
 
+def xor_oracle(ids, key, count):
+    return sorted(ids, key=lambda v: v ^ key)[:count]
+
+
+def test_xor_closest_compressed_walk_against_oracle():
+    rng = random.Random(21)
+    ids = sample_ids(300, rng)
+    assert xor_closest([], 5, 3) == []
+    assert xor_closest(ids, 5, 0) == []
+    assert xor_closest(ids[:7], 5, 20) == xor_oracle(ids[:7], 5, 20)
+    assert len(xor_closest(ids, 5, 500)) == len(ids)
+    for _ in range(200):
+        key = rng.randrange(1 << DEFAULT_BITS)
+        count = rng.randint(1, 40)
+        assert xor_closest(ids, key, count) == xor_oracle(ids, key, count)
+        # a key equal to an id finds that id first
+        hit = rng.choice(ids)
+        assert xor_closest(ids, hit, count) == xor_oracle(ids, hit, count)
+        assert xor_closest(ids, hit, count)[0] == hit
+    # every id below 2**31, every key above: the top bit matches no id
+    low = [v >> 1 for v in ids]
+    for _ in range(50):
+        key = (1 << 31) | rng.randrange(1 << 31)
+        assert xor_closest(low, key, 12) == xor_oracle(low, key, 12)
+
+
+def test_xor_closest_dense_clusters():
+    """Ids sharing long prefixes, where the walk skips most levels."""
+    rng = random.Random(22)
+    for _ in range(100):
+        bases = [rng.randrange(1 << DEFAULT_BITS) & ~0xFF
+                 for _ in range(rng.randint(1, 4))]
+        bases.append(0x7FFFFF00)
+        bases.append(0x80000000)
+        ids = sorted({b + rng.randrange(256)
+                      for b in bases for _ in range(rng.randint(1, 30))})
+        keys = [rng.randrange(1 << DEFAULT_BITS), rng.choice(ids),
+                rng.choice(bases) + rng.randrange(256), 0x7FFFFFFF,
+                0x80000000, 0, (1 << DEFAULT_BITS) - 1]
+        for key in keys:
+            count = rng.randint(0, len(ids) + 2)
+            assert xor_closest(ids, key, count) == \
+                xor_oracle(ids, key, count)
+
+
 def test_sample_ids_distinct_and_in_range():
     rng = random.Random(9)
     ids = sample_ids(500, rng, 16)

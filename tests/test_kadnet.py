@@ -6,6 +6,7 @@ from dhtsim.adversary import AttackPolicy
 from dhtsim.idspace import shared_prefix_bits, xor_distance
 from dhtsim.kadnet import (
     MODES,
+    KadNetwork,
     LookupGraph,
     build_kad,
     bucket_insert,
@@ -279,7 +280,8 @@ class TestLookup:
             for _ in range(200):
                 key = net.random_key(rng)
                 v = rng.choice(net.colluders)
-                ret = _respond(net, v, key, attacked, "regular", net.beta)
+                ret = _respond(net, v, key, attacked, "regular", net.beta,
+                               net.truth_root(key))
                 assert len(ret) <= net.beta
                 floor = shared_prefix_bits(v, key) + 1
                 closer = [m for m in net.colluders_within(key, floor)
@@ -303,7 +305,8 @@ class TestLookup:
                 key=lambda u: xor_distance(u, key))
         seen = set()
         for _ in range(200):
-            seen.update(_respond(net, v, key, True, "regular", net.beta))
+            seen.update(_respond(net, v, key, True, "regular", net.beta,
+                                 net.truth_root(key)))
         assert len(seen) > 2 * net.beta
 
     def test_cornered_colluder_hands_over_known_truth(self):
@@ -321,9 +324,9 @@ class TestLookup:
             if v == truth or not net.nodes[v].knows(truth):
                 continue
             roots = set(net.replica_roots(key))
-            assert _nominate(net, v, key, False, roots) == truth
+            assert _nominate(net, v, key, False, roots, truth) == truth
             assert _respond(net, v, key, False, "regular",
-                            net.beta)[0] == truth
+                            net.beta, truth)[0] == truth
             handed += 1
         assert handed > 20
 
@@ -398,6 +401,28 @@ class TestLookup:
                                   for _ in range(50))]
             return tables, outcomes
         assert run() == run()
+
+    def test_lookup_walks_replica_roots_once(self, monkeypatch):
+        """A lookup finds key's replica roots once and hands them down;
+        colluders answering it, attacked or not, re-derive nothing."""
+        net = build_kad(300, colluding=0.3, seed=9)
+        warmup(net, 2, seed=9)
+        rng = random.Random(5)
+        hon = net.honest_nodes()
+        cases = [(rng.choice(hon), net.random_key(rng)) for _ in range(60)]
+        calls = []
+        real = KadNetwork.replica_roots
+
+        def counted(self, key):
+            calls.append(key)
+            return real(self, key)
+
+        monkeypatch.setattr(KadNetwork, "replica_roots", counted)
+        for i, (q, key) in enumerate(cases):
+            policy = AttackPolicy(1.0 if i % 2 else 0.0, seed=1)
+            del calls[:]
+            kad_lookup(net, q, key, mode=MODES[i % 3], policy=policy)
+            assert calls == [key]
 
 
 class TestPollution:

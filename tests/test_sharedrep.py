@@ -180,6 +180,26 @@ def test_adversarial_dropoff_slander_symmetry():
     assert slander == pytest.approx(1.0 - promote, abs=1e-9)
 
 
+def test_adversarial_dropoff_is_exact_grid_argmax():
+    """The grid search returns exactly the first grid point at which
+    expected_dropoff pulls hardest toward the goal."""
+    rng = random.Random(13)
+    for _ in range(150):
+        n_h = rng.randint(0, 8)
+        n_m = rng.randint(1, 8)
+        own = rng.randint(0, 100) / 100
+        truth = rng.randint(0, 100) / 100
+        for goal in (0.0, 1.0):
+            vals = []
+            for s in range(201):
+                _, _, e = expected_dropoff(n_h, n_m, truth, s / 200, own)
+                vals.append(e if goal >= 0.5 else -e)
+            best = vals.index(max(vals))
+            report = adversarial_report("dropoff", own, truth, goal,
+                                        n_h, n_m)
+            assert report == best / 200
+
+
 def test_exchange_broadcasts_only_changes():
     net = build_halo(200, 0.2, seed=11)
     policy = AttackPolicy(1.0, seed=11)
