@@ -42,10 +42,6 @@ class AttackPolicy:
         return x / 18446744073709551616.0 < self.rate
 
 
-def should_attack(policy, lookup_serial):
-    return policy.should_attack(lookup_serial)
-
-
 class OneThreshold:
     """Attack whenever the selection probability reaches tau."""
 
@@ -87,15 +83,10 @@ class Probabilistic:
 
     def decide(self, pr_selected):
         p = self.slope * (pr_selected - 0.5) + self.offset
-        return min(1.0, max(0.0, p))
-
-
-def oscillation_decision(strategy, pr_selected):
-    """Attack probability in [0, 1] for this step."""
-    p = strategy.decide(pr_selected)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("strategy emitted probability outside [0, 1]")
-    return p
+        # min(1.0, max(0.0, p)) without the builtin calls; -0.0 and NaN
+        # clamp to 0.0 as there
+        p = p if p > 0.0 else 0.0
+        return p if p < 1.0 else 1.0
 
 
 def use_based_targets(ring, attacker, m):

@@ -12,8 +12,6 @@ shout down the victims' reports in the shared-score exchange.
 import math
 import random
 
-from .adversary import oscillation_decision
-from .reputation import ewma_update, selection_prob
 from .sharedrep import aggregate
 
 DEFAULT_HONEST_SCORE = 0.90
@@ -36,6 +34,8 @@ class OscillationModel:
             raise ValueError("need at least one lookup")
         if not 0.0 < s_h <= 1.0 or not 0.0 < s0 <= 1.0:
             raise ValueError("scores outside (0, 1]")
+        if not 0.0 <= alpha_ewma <= 1.0:
+            raise ValueError("alpha_ewma outside [0, 1]")
         self.alpha_ewma = alpha_ewma
         self.beta_bias = beta_bias
         self.s_h = s_h
@@ -55,23 +55,43 @@ def simulate_oscillation(model, strategy, rng=None):
     default the recursion is deterministic in expectation; passing an
     rng samples selection and attack outcomes instead, for
     cross-checking the recursion.
+
+    The loop is specialised to its two scores.  s_h**beta, the strategy's
+    decide and 1 - alpha are computed once; each step does the rest
+    inline, in the same order as selection_prob and ewma_update, so
+    every float matches a run through those helpers bit for bit.  Their
+    argument checks are not repeated because they cannot fail here: the
+    model holds alpha in [0, 1] and s0, s_h in (0, 1], and with Pr[A]
+    and p in [0, 1] each step moves s to a mix of s and values in
+    [0, 1], so s never goes negative and s_h > 0 keeps the pair from
+    being all zero.  (Should both weights underflow to zero, the
+    division raises ZeroDivisionError, as selection_prob's did.)  The
+    one check that stays is the strategy's: a p outside [0, 1] raises
+    ValueError.
     """
+    beta = model.beta_bias
+    w_h = model.s_h ** beta
+    alpha = model.alpha_ewma
+    keep = 1.0 - alpha
+    decide = strategy.decide
     s = model.s0
     total = 0.0
     trajectory = []
+    record = trajectory.append
     for _ in range(model.lookups):
-        pra = selection_prob([s, model.s_h], model.beta_bias)[0]
-        p = oscillation_decision(strategy, pra)
-        trajectory.append((s, pra, p))
+        w = s ** beta
+        pra = w / (w + w_h)
+        p = decide(pra)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("strategy emitted probability outside [0, 1]")
+        record((s, pra, p))
         if rng is None:
             total += pra * p
-            s += pra * (ewma_update(s, 1.0 - p, model.alpha_ewma) - s)
-        else:
-            if rng.random() < pra:
-                attacked = rng.random() < p
-                total += attacked
-                s = ewma_update(s, 0.0 if attacked else 1.0,
-                                model.alpha_ewma)
+            s += pra * (alpha * (1.0 - p) + keep * s - s)
+        elif rng.random() < pra:
+            attacked = rng.random() < p
+            total += attacked
+            s = alpha * (0.0 if attacked else 1.0) + keep * s
     return total, trajectory
 
 

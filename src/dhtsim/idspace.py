@@ -103,7 +103,7 @@ class Ring:
         return self.owner((nid + (1 << i)) % self.space)
 
 
-def xor_closest(ids, key, count=1, bits=DEFAULT_BITS):
+def xor_closest(ids, key, count=1):
     """The count ids nearest key by XOR distance; ids must be sorted.
 
     Walks the implicit binary trie of the sorted array, descending into
@@ -112,7 +112,7 @@ def xor_closest(ids, key, count=1, bits=DEFAULT_BITS):
     a range holding one id yields it at once, and a range whose ids all
     share their bits above some level skips straight to that level,
     since key's bits there order none of them.  The levels come from
-    the ids themselves, so bits does not change the result.
+    the ids themselves, so the walk needs no id width.
     """
     out = []
     _xor_walk(ids, 0, len(ids), key, count, out)

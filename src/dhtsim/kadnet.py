@@ -183,7 +183,7 @@ class KadNetwork:
     def replica_roots(self, key):
         """The closest replica_count nodes agreeing with key in the
         first tolerance_bits bits, nearest first."""
-        near = xor_closest(self.ids, key, self.replica_count, self.bits)
+        near = xor_closest(self.ids, key, self.replica_count)
         return [u for u in near
                 if shared_prefix_bits(u, key, self.bits)
                 >= self.tolerance_bits]
@@ -203,7 +203,7 @@ class KadNetwork:
     def closest_colluders(self, key, count):
         if not self.colluders:
             return []
-        return xor_closest(self.colluders, key, count, self.bits)
+        return xor_closest(self.colluders, key, count)
 
     def colluders_within(self, key, floor_bits):
         """All colluders agreeing with key in at least floor_bits
@@ -366,7 +366,7 @@ def _respond(net, v, key, attacked, mode, beta, truth):
         out = []
         if truth is not None and node.knows(truth):
             out.append(truth)
-        for u in xor_closest(node.sorted_contacts, key, beta, net.bits):
+        for u in xor_closest(node.sorted_contacts, key, beta):
             if u not in out:
                 out.append(u)
         return out[:beta]
@@ -378,7 +378,7 @@ def _respond(net, v, key, attacked, mode, beta, truth):
         closer.sort(key=lambda u: (-store.score((u,)),
                                    xor_distance(u, key)))
         return closer[:beta]
-    return xor_closest(node.sorted_contacts, key, beta, net.bits)
+    return xor_closest(node.sorted_contacts, key, beta)
 
 
 def _nominate(net, v, key, attacked, roots, truth):

@@ -161,11 +161,6 @@ def adversarial_report(method, target_own_score, truth, goal=None,
     return best_r
 
 
-@lru_cache(maxsize=65536)
-def _report_cached(method, own, truth, goal, n_h, n_m):
-    return adversarial_report(method, own, truth, goal, n_h, n_m)
-
-
 class SharedExchange:
     """Epoch-boundary score exchange wired into a live network.
 
@@ -186,6 +181,9 @@ class SharedExchange:
         self.adversarial = adversarial
         self.last_sent = {}   # (sender, finger) -> last broadcast value
         self.reports = {}     # finger -> {honest sender: latest value}
+        # forged reports by rounded inputs; one bounded cache per exchange,
+        # so no two exchanges share state
+        self.forged_report = lru_cache(maxsize=65536)(adversarial_report)
 
     def finger_holders(self):
         """Map each live finger to the nodes holding it, one ring scan."""
@@ -228,9 +226,9 @@ class SharedExchange:
                 received = [v for s, v in table.items() if s != j]
                 if self.adversarial and n_bad:
                     truth = statistics.fmean(received) if received else own
-                    forged = _report_cached(self.method, round(own, 2),
-                                            round(truth, 2), goal,
-                                            len(received), n_bad)
+                    forged = self.forged_report(self.method, round(own, 2),
+                                                round(truth, 2), goal,
+                                                len(received), n_bad)
                     received = received + [forged] * n_bad
                 net.score_overrides.setdefault(j, {})[f] = aggregate(
                     self.method, own, received, self.rng)

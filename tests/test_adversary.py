@@ -9,8 +9,6 @@ from dhtsim.adversary import (
     Probabilistic,
     TwoThreshold,
     expected_use_based_attacked,
-    oscillation_decision,
-    should_attack,
     use_based_targets,
 )
 from dhtsim.idspace import Ring
@@ -35,14 +33,14 @@ def test_attack_policy_deterministic_and_calibrated():
     assert abs(frac - 0.5) < 0.002  # ~4 sigma at this sample size
     other_seed = AttackPolicy(0.5, seed=8)
     assert decisions != [other_seed.should_attack(i) for i in range(1_000_000)]
-    assert should_attack(p, 3) == p.should_attack(3)
+    assert AttackPolicy(0.5, 7).should_attack(3) == p.should_attack(3)
 
 
 def test_one_threshold_boundary():
     s = OneThreshold(0.4)
     assert s.decide(0.4) == 1.0
     assert s.decide(0.39999) == 0.0
-    assert oscillation_decision(s, 0.9) == 1.0
+    assert s.decide(0.9) == 1.0
 
 
 def test_two_threshold_hysteresis_cycle():
@@ -74,6 +72,30 @@ def test_probabilistic_clamps():
     assert s.decide(0.5) == pytest.approx(0.1)
     assert s.decide(1.0) == pytest.approx(1.0)
     assert s.decide(0.0) == 0.0
+
+
+def test_probabilistic_clamp_matches_min_max():
+    # raw values exactly 0 and 1, below 0 and above 1, -0.0 and NaN
+    slopes = [0.0, -0.0, 0.5, 1.0, 2.0, 4.0, -2.0, math.inf]
+    offsets = [0.0, -0.0, 0.25, 0.5, 1.0, -0.5, 1.5]
+    xs = [i / 20 for i in range(21)]
+    raws = []
+    for slope in slopes:
+        for offset in offsets:
+            s = Probabilistic(slope, offset)
+            for x in xs:
+                raw = slope * (x - 0.5) + offset
+                raws.append(raw)
+                want = min(1.0, max(0.0, raw))
+                got = s.decide(x)
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert any(r == 0.0 and math.copysign(1.0, r) < 0 for r in raws)
+    assert any(r == 0.0 and math.copysign(1.0, r) > 0 for r in raws)
+    assert 1.0 in raws
+    assert any(r < 0.0 for r in raws)
+    assert any(r > 1.0 for r in raws)
+    assert any(math.isnan(r) for r in raws)
 
 
 def test_use_based_targets_perfect_ring():

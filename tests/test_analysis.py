@@ -14,7 +14,7 @@ from dhtsim.analysis import (
     threshold_pair_grid,
     use_based_sim,
 )
-from dhtsim.reputation import selection_prob
+from dhtsim.reputation import ewma_update, selection_prob
 
 
 def test_fast_learning_heavy_bias_allows_one_attack():
@@ -101,8 +101,87 @@ def test_model_validation():
     with pytest.raises(ValueError):
         OscillationModel(0.01, 1, s_h=0.0)
     with pytest.raises(ValueError):
-        # a nonsense smoothing weight surfaces at the first update
+        # a nonsense smoothing weight is rejected with the model
         simulate_oscillation(OscillationModel(2.0, 1), OneThreshold(0.5))
+
+
+class Constant:
+    def __init__(self, p):
+        self.p = p
+
+    def decide(self, pr_selected):
+        return self.p
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1])
+def test_strategy_outside_unit_interval_rejected(p):
+    model = OscillationModel(0.01, 1)
+    with pytest.raises(ValueError):
+        simulate_oscillation(model, Constant(p))
+    with pytest.raises(ValueError):
+        simulate_oscillation(model, Constant(p), random.Random(1))
+
+
+def old_loop(model, strategy, rng=None):
+    """The recursion as it ran through selection_prob and ewma_update."""
+    s = model.s0
+    total = 0.0
+    trajectory = []
+    for _ in range(model.lookups):
+        pra = selection_prob([s, model.s_h], model.beta_bias)[0]
+        p = strategy.decide(pra)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("strategy emitted probability outside [0, 1]")
+        trajectory.append((s, pra, p))
+        if rng is None:
+            total += pra * p
+            s += pra * (ewma_update(s, 1.0 - p, model.alpha_ewma) - s)
+        else:
+            if rng.random() < pra:
+                attacked = rng.random() < p
+                total += attacked
+                s = ewma_update(s, 0.0 if attacked else 1.0,
+                                model.alpha_ewma)
+    return total, trajectory
+
+
+def random_params(family, rng):
+    if family is OneThreshold:
+        return (rng.uniform(0.0, 1.0),)
+    if family is TwoThreshold:
+        t1 = rng.uniform(0.0, 0.9)
+        return (t1, rng.uniform(t1 + 0.01, 1.0))
+    return (rng.uniform(0.0, 4.0), rng.uniform(-0.5, 1.5))
+
+
+def equivalence_cases(family):
+    rng = random.Random(31)
+    cases = []
+    for alpha in (0.0, 1.0, None):
+        for beta in (0.0, 100.0, None):
+            for _ in range(4):
+                cases.append((
+                    rng.uniform(0.0, 1.0) if alpha is None else alpha,
+                    rng.uniform(0.0, 20.0) if beta is None else beta,
+                    rng.choice([1.0, rng.uniform(0.01, 1.0)]),
+                    rng.choice([1.0, rng.uniform(0.01, 1.0)]),
+                    random_params(family, rng)))
+    return cases
+
+
+@pytest.mark.parametrize("family", [OneThreshold, TwoThreshold,
+                                    Probabilistic])
+def test_specialised_loop_is_bit_identical(family):
+    # == on the total and every (score, Pr[A], p) step, in expectation
+    # and sampled with the same seed on both sides
+    for i, (alpha, beta, s_h, s0, params) in enumerate(
+            equivalence_cases(family)):
+        model = OscillationModel(alpha, beta, s_h=s_h, s0=s0, lookups=300)
+        assert simulate_oscillation(model, family(*params)) == \
+            old_loop(model, family(*params))
+        assert simulate_oscillation(model, family(*params),
+                                    random.Random(i)) == \
+            old_loop(model, family(*params), random.Random(i))
 
 
 def test_use_based_lone_victim_accepts_consensus():

@@ -156,7 +156,7 @@ def test_xor_closest_against_sorted_oracle():
         ids = sample_ids(rng.randint(1, 40), rng, bits)
         key = rng.randrange(1 << bits)
         count = rng.randint(1, len(ids))
-        got = xor_closest(ids, key, count, bits)
+        got = xor_closest(ids, key, count)
         want = sorted(ids, key=lambda v: v ^ key)[:count]
         assert got == want
 
@@ -164,7 +164,7 @@ def test_xor_closest_against_sorted_oracle():
 def test_xor_closest_not_always_sorted_neighbor():
     # the id nearest by XOR need not be adjacent in sorted order
     ids = [0, 7]
-    assert xor_closest(ids, 8, 1, bits=4) == [0]
+    assert xor_closest(ids, 8, 1) == [0]
 
 
 def xor_oracle(ids, key, count):

@@ -256,3 +256,25 @@ def test_exchange_survives_churn():
     live = set(net.ring.ids)
     assert all(f in live for f in ex.reports)
     assert all(s in live for table in ex.reports.values() for s in table)
+
+
+def test_exchanges_share_no_report_cache():
+    def one_epoch():
+        net = build_halo(120, 0.2, seed=5)
+        policy = AttackPolicy(1.0, seed=5)
+        ex = SharedExchange(net, "dropoff", seed=5)
+        assert ex.forged_report.cache_info().currsize == 0
+        rng = random.Random(5)
+        for origin in net.honest_nodes():
+            halo_lookup(net, origin, rng.randrange(net.space),
+                        mode="collaborative", policy=policy, record=True)
+        ex.run_epoch()
+        return ex, net.score_overrides
+
+    first, overrides = one_epoch()
+    second, again = one_epoch()
+    assert again == overrides
+    # the second exchange forged every report afresh, as the first did
+    info = first.forged_report.cache_info()
+    assert info.misses > 0
+    assert second.forged_report.cache_info() == info
