@@ -24,8 +24,8 @@ class OscillationModel:
     The honest contact's score s_h stays fixed; the attacker starts at
     s0 and is re-scored by an exponentially weighted average whenever
     it is selected.  alpha_ewma sets how fast history decays, beta_bias
-    how sharply selection favors the higher score.  No churn: the
-    attacker's only lever is its own behavior.
+    (finite, at least 0) how sharply selection favors the higher score.
+    No churn: the attacker's only lever is its own behavior.
     """
 
     def __init__(self, alpha_ewma, beta_bias, s_h=DEFAULT_HONEST_SCORE,
@@ -36,6 +36,8 @@ class OscillationModel:
             raise ValueError("scores outside (0, 1]")
         if not 0.0 <= alpha_ewma <= 1.0:
             raise ValueError("alpha_ewma outside [0, 1]")
+        if not 0.0 <= beta_bias < math.inf:
+            raise ValueError("beta_bias must be finite and non-negative")
         self.alpha_ewma = alpha_ewma
         self.beta_bias = beta_bias
         self.s_h = s_h
@@ -61,13 +63,13 @@ def simulate_oscillation(model, strategy, rng=None):
     inline, in the same order as selection_prob and ewma_update, so
     every float matches a run through those helpers bit for bit.  Their
     argument checks are not repeated because they cannot fail here: the
-    model holds alpha in [0, 1] and s0, s_h in (0, 1], and with Pr[A]
-    and p in [0, 1] each step moves s to a mix of s and values in
-    [0, 1], so s never goes negative and s_h > 0 keeps the pair from
-    being all zero.  (Should both weights underflow to zero, the
-    division raises ZeroDivisionError, as selection_prob's did.)  The
-    one check that stays is the strategy's: a p outside [0, 1] raises
-    ValueError.
+    model holds alpha in [0, 1], beta finite and non-negative and s0,
+    s_h in (0, 1], and with Pr[A] and p in [0, 1] each step moves s to
+    a mix of s and values in [0, 1], so s never goes negative and
+    s_h > 0 keeps the pair from being all zero.  (Should both weights
+    underflow to zero, the division raises ZeroDivisionError, as
+    selection_prob's did.)  The one check that stays is the strategy's:
+    a p outside [0, 1] raises ValueError.
     """
     beta = model.beta_bias
     w_h = model.s_h ** beta

@@ -151,8 +151,8 @@ class HaloNetwork:
         contact joined after nid and toward the neutral prior else."""
         order = self.joined.get(contact)
         if order is not None and order > self.joined.get(nid, -1):
-            return self.stores[nid].score((contact,), JOIN_SCORE)
-        return self.stores[nid].score((contact,))
+            return self.stores[nid].score(contact, JOIN_SCORE)
+        return self.stores[nid].score(contact)
 
     def contact_score(self, nid, contact):
         """Score nid assigns contact: the shared override the exchange
@@ -295,9 +295,10 @@ def reds_next_hop(net, v, target, avoid=()):
 
     Like chord_next_hop, v first short-circuits over its whole successor
     list.  Scores are v's contact_score: the shared override, else its
-    first-hand score.  Selection is deterministic maximum score; equal
-    scores fall back to path diversity, then to the selector's sticky
-    seeded tie-break.  A bucket whose members all score below
+    first-hand score, each read once per member.  Selection is
+    deterministic maximum score; among the equal best, members outside
+    avoid are preferred, and v's store breaks what tie remains with its
+    sticky seeded break_tie.  A bucket whose members all score below
     JOIN_SCORE (they have been observed doing worse than a newcomer
     with no history at all) is skipped for the next farther bucket,
     trading a little progress for a contact not known to be bad.  v
@@ -309,13 +310,13 @@ def reds_next_hop(net, v, target, avoid=()):
     if _window_covers(net, v, d, net.successor_count):
         return net.ring.predecessor(target)
     store = net.stores[v]
-    score = lambda c: net.contact_score(v, c)
 
     def pick_from(members):
-        best = max(score(c) for c in members)
-        top = [c for c in members if score(c) == best]
+        scores = [net.contact_score(v, c) for c in members]
+        best = max(scores)
+        top = [c for c, s in zip(members, scores) if s == best]
         fresh = [c for c in top if c not in avoid] or top
-        return store.select_max(fresh, score_fn=score), best
+        return store.break_tie(fresh), best
 
     nearest = None
     for i in range(d.bit_length() - 1, -1, -1):
@@ -405,12 +406,13 @@ def _subsearch(net, origin, target, offset, mode, attacked, avoid):
 
 
 def halo_lookup(net, origin, target, redundancy=None, mode="regular",
-                policy=None, serial=None, record=False, record_depth=2):
+                policy=None, serial=None, record=False):
     """Run one redundant lookup and consolidate the subsearch answers.
 
-    With record, the origin counts each subsearch path as a success or
-    failure by whether it agreed with the consolidated answer; those
-    counters drive contact selection in the reputation-guided modes.
+    With record, in the reputation-guided modes, the origin counts one
+    use of the first contact on each subsearch path that has one, a
+    success when that subsearch agreed with the consolidated answer;
+    those counters drive its contact selection.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
@@ -439,7 +441,7 @@ def halo_lookup(net, origin, target, redundancy=None, mode="regular",
     for s in subs:
         s.agreed = s.candidate == answer
         if record and mode in REPUTED_MODES and s.path:
-            store.record_path(s.path, s.agreed, max_depth=record_depth)
+            store.record(s.path[0], s.agreed)
     return LookupOutcome(origin, target, net.ring.owner(target), answer,
                          attacked, mode, subs)
 

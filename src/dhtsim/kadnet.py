@@ -82,23 +82,20 @@ class LookupGraph:
     def __init__(self, q):
         self.q = q
         self.vertices = {q}
-        self.edges = []   # (child, parent) in arrival order
-        self.out = {}     # child -> list of parents
+        self.out = {}     # child -> list of parents, in arrival order
 
     def add_edge(self, u, v):
         self.vertices.add(u)
         self.vertices.add(v)
-        self.edges.append((u, v))
         self.out.setdefault(u, []).append(v)
 
 
 class KadLookupOutcome:
     """Result of one iterative lookup, with the evidence to score it."""
 
-    def __init__(self, key, shortlist, found_roots, closest_root, success,
-                 graph, steps, queried):
+    def __init__(self, key, found_roots, closest_root, success, graph,
+                 steps, queried):
         self.key = key
-        self.shortlist = shortlist
         self.found_roots = found_roots
         self.closest_root = closest_root
         self.success = success
@@ -290,7 +287,7 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
         if reds and not node.malicious:
             counts = net.stores[node.id].counts
             worst = min(bucket,
-                        key=lambda u: (counts.get((u,), (0, 0))[0],
+                        key=lambda u: (counts.get(u, (0, 0))[0],
                                        node.last_seen[u]))
         else:
             worst = min(bucket, key=lambda u: node.last_seen[u])
@@ -375,7 +372,7 @@ def _respond(net, v, key, attacked, mode, beta, truth):
         closer = [u for u in node.sorted_contacts
                   if xor_distance(u, key) < own]
         store = net.stores[v]
-        closer.sort(key=lambda u: (-store.score((u,)),
+        closer.sort(key=lambda u: (-store.score(u),
                                    xor_distance(u, key)))
         return closer[:beta]
     return xor_closest(node.sorted_contacts, key, beta)
@@ -404,8 +401,8 @@ def _nominate(net, v, key, attacked, roots, truth):
 
 def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
     """Core of the iterative search: returns graph, nominations,
-    queried, dead, shortlist, and step count.  roots lists key's
-    replica roots, nearest first, as replica_roots gives them.
+    queried, dead, and step count.  roots lists key's replica roots,
+    nearest first, as replica_roots gives them.
 
     Keeps a shortlist of the k closest contacts heard of, querying the
     alpha best unqueried entries each step: closest-first normally, or
@@ -446,7 +443,7 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
         if not batch:
             break
         if reds:
-            batch.sort(key=lambda u: (-store.score((u,)), dist[u]))
+            batch.sort(key=lambda u: (-store.score(u), dist[u]))
         for v in batch[:alpha]:
             queried.add(v)
             if v not in net.nodes:
@@ -454,7 +451,7 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
                 dead.add(v)
                 node_q.drop(v)
                 if store is not None:
-                    store.on_leave((v,))
+                    store.counts.pop(v, None)
                 continue
             returned = [u for u in _respond(net, v, key, attacked,
                                             mode, beta, truth) if u != q]
@@ -472,7 +469,7 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
                 if b not in dead:
                     consider(b)
         step += 1
-    return graph, nominated, queried, dead, shortlist, step
+    return graph, nominated, queried, dead, step
 
 
 def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
@@ -501,7 +498,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
     store = net.stores[q]
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
-    graph, nominated, queried, dead, shortlist, step = _iterate(
+    graph, nominated, queried, dead, step = _iterate(
         net, q, key, mode, attacked, store, k, alpha, beta, roots)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
@@ -513,12 +510,11 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
             credited = set()
         for u in queried:
             if u not in dead:
-                store.record((u,), u in credited)
+                store.record(u, u in credited)
         for u in credited:
             if u != q and u not in queried and u not in dead:
-                store.record((u,), True)
-    return KadLookupOutcome(key, [u for _, u in shortlist[:k]],
-                            frozenset(u for u in nominated if u in roots),
+                store.record(u, True)
+    return KadLookupOutcome(key, frozenset(u for u in nominated if u in roots),
                             closest_root, success, graph, step, queried)
 
 

@@ -1,16 +1,14 @@
 """First-hand reputation state and the selection rules built on it.
 
-A store maps observation keys (contact ids, or tuples of ids naming a
-routing-path prefix) to success/use counters.  Scores are smoothed
-toward a neutral prior so that unobserved contacts start at 0.5 and a
-single bad observation does not zero a contact out.
+A store maps each contact id to a success/use counter.  Scores are
+smoothed toward a neutral prior so that unobserved contacts start at
+0.5 and a single bad observation does not zero a contact out.
 """
 
 import random
-from collections import OrderedDict
 
 DEFAULT_PRIOR = 0.5
-DEFAULT_PRIOR_WEIGHT = 1.0
+PRIOR_WEIGHT = 1.0
 
 
 def ewma_update(score, result, alpha):
@@ -38,97 +36,46 @@ def selection_prob(scores, beta_bias):
 
 
 class ReputationStore:
-    """Per-node success/use counters with a pseudocount prior.
+    """One node's first-hand success/use counter per contact id.
 
-    score(key) = (successes + prior * prior_weight) / (uses + prior_weight),
-    so a fresh key scores exactly the prior and long records dominate it.
-    Departed keys move to a bounded cache so a quick rejoin cannot shed a
-    bad history.
+    Its score is (successes + prior * PRIOR_WEIGHT) / (uses + PRIOR_WEIGHT),
+    so an unobserved contact scores exactly the prior and a long record
+    dominates it.
     """
 
-    def __init__(self, prior=DEFAULT_PRIOR, prior_weight=DEFAULT_PRIOR_WEIGHT,
-                 join_score=None, cache_limit=128, seed=0):
-        self.prior = prior
-        self.prior_weight = prior_weight
-        self.join_score = prior if join_score is None else join_score
-        self.cache_limit = cache_limit
-        self.counts = {}        # key -> [successes, uses]
-        self.priors = {}        # key -> per-key prior override
-        self.cache = OrderedDict()  # departed key -> (successes, uses)
+    def __init__(self, seed=0):
+        self.counts = {}        # contact id -> [successes, uses]
         self._rng = random.Random(seed)
         self._tie_choice = {}   # frozen tie set -> sticky pick
 
-    def record(self, key, success):
-        """Count one use of key, successful or not."""
-        entry = self.counts.get(key)
+    def record(self, contact, success):
+        """Count one use of contact, successful or not."""
+        entry = self.counts.get(contact)
         if entry is None:
-            entry = self.counts[key] = [0, 0]
+            entry = self.counts[contact] = [0, 0]
         entry[1] += 1
         if success:
             entry[0] += 1
 
-    def record_path(self, path, success, max_depth=None):
-        """Count one use of every prefix of path.
-
-        Blame and credit are positional: the whole prefix that led to an
-        outcome shares it.  max_depth caps how long a prefix is kept.
-        """
-        if not path:
-            raise ValueError("empty path")
-        depth = len(path) if max_depth is None else min(len(path), max_depth)
-        for d in range(1, depth + 1):
-            self.record(tuple(path[:d]), success)
-
-    def score(self, key, prior=None):
-        """Smoothed success rate of key; prior overrides the key's own."""
-        if prior is None:
-            prior = self.priors.get(key, self.prior)
-        entry = self.counts.get(key)
+    def score(self, contact, prior=DEFAULT_PRIOR):
+        """Smoothed success rate of contact, starting from prior."""
+        entry = self.counts.get(contact)
         if entry is None:
             return prior
         successes, uses = entry
-        return (successes + prior * self.prior_weight) / (uses + self.prior_weight)
+        return (successes + prior * PRIOR_WEIGHT) / (uses + PRIOR_WEIGHT)
 
-    def select_max(self, candidates, key=None, score_fn=None):
-        """Highest-scoring candidate; ties broken once at random, sticky.
-
-        A tie among the same candidate set reuses its first random pick
-        until the scores diverge, so routing does not flap between
-        equally scored contacts.  score_fn overrides the stored scores,
-        letting callers blend in externally supplied ones.
-        """
-        if not candidates:
+    def break_tie(self, tied):
+        """One of the equally scored candidates in tied, picked at random
+        the first time this set ties and reused whenever it ties again,
+        so routing does not flap between equally scored contacts."""
+        if not tied:
             raise ValueError("no candidates")
-        if score_fn is None:
-            keyfn = key if key is not None else lambda c: c
-            score_fn = lambda c: self.score(keyfn(c))
-        pairs = [(score_fn(c), c) for c in candidates]
-        best = max(s for s, _ in pairs)
-        tied = [c for s, c in pairs if s == best]
         if len(tied) == 1:
             return tied[0]
         sig = frozenset(tied)
         pick = self._tie_choice.get(sig)
-        if pick is None or pick not in tied:
+        if pick is None:
             pick = tied[self._rng.randrange(len(tied))]
             self._tie_choice[sig] = pick
         return pick
-
-    def on_leave(self, key):
-        """Move key's record to the departure cache, oldest evicted."""
-        entry = self.counts.pop(key, None)
-        self.priors.pop(key, None)
-        if entry is not None:
-            self.cache[key] = tuple(entry)
-            self.cache.move_to_end(key)
-            while len(self.cache) > self.cache_limit:
-                self.cache.popitem(last=False)
-
-    def on_join(self, key):
-        """Admit key: restore a cached record, else start at join_score."""
-        cached = self.cache.pop(key, None)
-        if cached is not None:
-            self.counts[key] = list(cached)
-            return
-        if self.join_score != self.prior:
-            self.priors[key] = self.join_score

@@ -103,6 +103,15 @@ def test_model_validation():
     with pytest.raises(ValueError):
         # a nonsense smoothing weight is rejected with the model
         simulate_oscillation(OscillationModel(2.0, 1), OneThreshold(0.5))
+    # a non-finite or negative bias would give NaN totals or a bare
+    # ZeroDivisionError/OverflowError inside the loop
+    for beta in (float("nan"), float("inf"), -float("inf"), -50, -1e-9):
+        with pytest.raises(ValueError):
+            OscillationModel(0.5, beta, s0=0.5)
+    with pytest.raises(ValueError):
+        OscillationModel(1.0, -50, s_h=1.0, s0=0.5)
+    for beta in (0, 1, 100):
+        assert OscillationModel(0.5, beta).beta_bias == beta
 
 
 class Constant:

@@ -306,20 +306,68 @@ def test_classification_covers_reasons():
             KNUCKLE_NONEXISTENT} <= seen
 
 
+def nearest_progressing_bucket(net, v, target):
+    """Members of v's nearest finger bucket that advance toward target."""
+    d = ring_distance(v, target, net.bits)
+    for i in range(d.bit_length() - 1, -1, -1):
+        bucket = [c for c in net.finger_bucket(v, i)
+                  if c != v and ring_distance(v, c, net.bits) < d]
+        if bucket:
+            return bucket
+    return []
+
+
 def test_reds_next_hop_avoids_low_scored_contact():
     net = small_net(64, seed=29, bucket_size=2)
-    origin = net.honest_nodes()[0]
-    y = (origin + (1 << 15)) % net.space
-    d = ring_distance(origin, y, net.bits)
-    bucket = [c for c in net.finger_bucket(origin, d.bit_length() - 1)
-              if ring_distance(origin, c, net.bits) < d]
-    if len(bucket) == 2:
-        store = net.stores[origin]
-        good, bad = bucket[1], bucket[0]
-        for _ in range(10):
-            store.record((good,), True)
-            store.record((bad,), False)
-        assert reds_next_hop(net, origin, y) == good
+    pairs = []
+    for origin in net.honest_nodes():
+        for i in range(1, net.bits):
+            # halfway through offset i's range, past the successor list
+            y = (origin + 3 * (1 << (i - 1))) % net.space
+            d = ring_distance(origin, y, net.bits)
+            if _window_covers(net, origin, d, net.successor_count):
+                continue
+            bucket = nearest_progressing_bucket(net, origin, y)
+            if len(bucket) == 2:
+                pairs.append((origin, y, bucket))
+    assert len(pairs) >= 10
+    for origin, y, bucket in pairs[:10]:
+        # score each member bad in turn, so neither the sticky tie-break
+        # nor the order of progress can pick the good one by accident
+        for good, bad in (bucket, bucket[::-1]):
+            net = small_net(64, seed=29, bucket_size=2)
+            assert reds_next_hop(net, origin, y) in bucket
+            store = net.stores[origin]
+            for _ in range(10):
+                store.record(good, True)
+                store.record(bad, False)
+            assert reds_next_hop(net, origin, y) == good
+
+
+def test_recorded_lookup_counts_first_contact_per_subsearch():
+    # replay oracle: a recorded reputed lookup adds one use of the first
+    # contact of every subsearch that contacted anyone, a success when
+    # the subsearch agreed with the answer; nothing else is written
+    net = build_halo(300, colluding=0.2, seed=36)
+    policy = AttackPolicy(0.5, seed=36)
+    rng = random.Random(36)
+    want = {v: {} for v in net.stores}
+    outcomes = set()
+    for _ in range(300):
+        origin = rng.choice(net.honest_nodes())
+        mode = rng.choice(MODES)
+        out = halo_lookup(net, origin, rng.randrange(net.space), mode=mode,
+                          policy=policy, record=True)
+        if mode == "regular":
+            continue
+        for s in out.subsearches:
+            if s.path:
+                c = want[origin].setdefault(s.path[0], [0, 0])
+                c[1] += 1
+                c[0] += s.agreed
+                outcomes.add(s.agreed)
+    assert outcomes == {True, False}
+    assert {v: st.counts for v, st in net.stores.items()} == want
 
 
 def test_lookup_records_paths_for_reputed_modes():
@@ -327,7 +375,7 @@ def test_lookup_records_paths_for_reputed_modes():
     origin = net.honest_nodes()[0]
     halo_lookup(net, origin, 12345, mode="collaborative",
                 policy=AttackPolicy(1.0), record=True)
-    assert net.stores[origin].counts  # prefixes were counted
+    assert net.stores[origin].counts  # first contacts were counted
     fresh = build_halo(300, colluding=0.1, seed=30)
     o2 = fresh.honest_nodes()[0]
     halo_lookup(fresh, o2, 12345, mode="regular",
@@ -369,7 +417,8 @@ def test_churn_ops_and_fresh_ids():
         assert (new in net.malicious) == (new in set(net.colluders))
     assert len(net.ring) == 100
     assert net.joined and set(net.joined) <= set(net.ring.ids)
-    assert all(not store.priors for store in net.stores.values())
+    # churn with no lookups writes nothing into any store
+    assert all(not store.counts for store in net.stores.values())
 
 
 def test_join_prior_follows_join_order():
@@ -398,7 +447,7 @@ def test_join_prior_follows_join_order():
     assert all(net.first_hand_score(v, late) == JOIN_SCORE for v in early)
     assert net.first_hand_score(later, late) == DEFAULT_PRIOR
     assert net.first_hand_score(late, later) == JOIN_SCORE
-    net.stores[early[0]].record((late,), True)
+    net.stores[early[0]].record(late, True)
     assert net.first_hand_score(early[0], late) == (1 + JOIN_SCORE) / 2
 
 

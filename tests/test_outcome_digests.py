@@ -1,0 +1,35 @@
+"""Pinned outcome digests of the benchmark's small seed-1 runs.
+
+Each workload's digest hashes the outcome trail of its first round:
+every lookup's answer, every churn event, every exchange epoch and
+every grid point.  A change meant to leave outcomes alone must keep
+these prefixes; a change that moves outcomes updates them and says why.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+DIGESTS = {
+    "halo-attack": "b2acbdb6f42b",
+    "halo-shared-churn": "a2e740ad7d8e",
+    "kad-attack": "4174762ed591",
+    "oscillation-sweep": "78b001ba7a28",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_small_seed_one_digest(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", workload, "--seed", "1", "--seconds", "1",
+         "--small"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300, check=True)
+    digests = [line.split()[1] for line in proc.stdout.splitlines()
+               if line.startswith("digest ")]
+    assert len(digests) == 1
+    assert digests[0].startswith(DIGESTS[workload])

@@ -20,72 +20,49 @@ def test_score_prior_and_counting():
     assert st2.score("y") == pytest.approx(0.5 / 11)
 
 
-def test_record_path_touches_every_prefix():
-    st = ReputationStore()
-    st.record_path((1, 2, 3), True)
-    st.record_path((1, 2, 9), False)
-    assert st.counts[(1,)] == [1, 2]
-    assert st.counts[(1, 2)] == [1, 2]
-    assert st.counts[(1, 2, 3)] == [1, 1]
-    assert st.counts[(1, 2, 9)] == [0, 1]
-    with pytest.raises(ValueError):
-        st.record_path((), True)
-
-
-def test_record_path_depth_cap():
-    st = ReputationStore()
-    st.record_path((1, 2, 3, 4), True, max_depth=2)
-    assert set(st.counts) == {(1,), (1, 2)}
-
-
 def test_replay_oracle():
     rng = random.Random(10)
     st = ReputationStore()
     log = []
     for _ in range(2000):
-        path = tuple(rng.randrange(6) for _ in range(rng.randint(1, 4)))
+        contact = rng.randrange(6)
         ok = rng.random() < 0.6
-        log.append((path, ok))
-        st.record_path(path, ok)
+        log.append((contact, ok))
+        st.record(contact, ok)
     # recount from the log and compare every score
     counts = {}
-    for path, ok in log:
-        for d in range(1, len(path) + 1):
-            c = counts.setdefault(tuple(path[:d]), [0, 0])
-            c[1] += 1
-            c[0] += ok
-    for key, (s, u) in counts.items():
-        assert st.counts[key] == [s, u]
-        assert st.score(key) == pytest.approx((s + 0.5) / (u + 1))
+    for contact, ok in log:
+        c = counts.setdefault(contact, [0, 0])
+        c[1] += 1
+        c[0] += ok
+    assert st.counts == counts
+    for contact, (s, u) in counts.items():
+        assert st.score(contact) == pytest.approx((s + 0.5) / (u + 1))
+        assert st.score(contact, 0.3) == pytest.approx((s + 0.3) / (u + 1))
 
 
-def test_select_max_argmax_and_errors():
+def test_break_tie_single_and_errors():
     st = ReputationStore()
-    st.record("a", True)
-    st.record("b", False)
-    assert st.select_max(["a", "b", "c"]) == "a"
+    assert st.break_tie(["a"]) == "a"
     with pytest.raises(ValueError):
-        st.select_max([])
+        st.break_tie([])
 
 
-def test_select_max_sticky_tie_until_divergence():
+def test_break_tie_sticky_per_tie_set():
     st = ReputationStore(seed=42)
-    first = st.select_max(["a", "b"])
+    first = st.break_tie(["a", "b"])
     for _ in range(50):
-        assert st.select_max(["a", "b"]) == first
-    other = "b" if first == "a" else "a"
-    st.record(other, True)
-    assert st.select_max(["a", "b"]) == other
-    # drag the winner below: choice follows the argmax, not the cache
-    st.record(other, False)
-    st.record(other, False)
-    st.record(first, True)
-    assert st.select_max(["a", "b"]) == first
+        assert st.break_tie(["a", "b"]) == first
+        # the pick belongs to the set, not to the order it comes in
+        assert st.break_tie(["b", "a"]) == first
+    # another set draws its own pick and leaves the first one alone
+    assert st.break_tie(["a", "b", "c"]) in ("a", "b", "c")
+    assert st.break_tie(["a", "b"]) == first
 
 
-def test_select_max_fresh_tie_uniform_over_seeds():
+def test_break_tie_fresh_tie_uniform_over_seeds():
     hits = Counter(
-        ReputationStore(seed=s).select_max(["a", "b", "c", "d"])
+        ReputationStore(seed=s).break_tie(["a", "b", "c", "d"])
         for s in range(2000)
     )
     for c in "abcd":
@@ -128,35 +105,3 @@ def test_selection_prob_sums_to_one():
         p = selection_prob(scores, beta)
         assert sum(p) == pytest.approx(1.0)
         assert all(x >= 0 for x in p)
-
-
-def test_leave_then_rejoin_restores_record():
-    st = ReputationStore()
-    for _ in range(5):
-        st.record("m", False)
-    bad = st.score("m")
-    st.on_leave("m")
-    assert "m" not in st.counts
-    st.on_join("m")
-    assert st.score("m") == pytest.approx(bad)
-
-
-def test_join_unknown_key_uses_join_score():
-    st = ReputationStore(join_score=0.42)
-    st.on_join("fresh")
-    assert st.score("fresh") == pytest.approx(0.42)
-    # default configuration keeps the neutral prior
-    st2 = ReputationStore()
-    st2.on_join("fresh")
-    assert st2.score("fresh") == 0.5
-
-
-def test_departure_cache_evicts_oldest():
-    st = ReputationStore(cache_limit=2)
-    for key in ("a", "b", "c"):
-        st.record(key, False)
-        st.on_leave(key)
-    st.on_join("a")  # evicted, so it comes back fresh
-    assert st.score("a") == 0.5
-    st.on_join("c")  # still cached
-    assert st.score("c") == pytest.approx(0.5 / 2)
