@@ -370,6 +370,28 @@ def test_recorded_lookup_counts_first_contact_per_subsearch():
     assert {v: st.counts for v, st in net.stores.items()} == want
 
 
+def test_recorded_lookup_writes_no_deeper_hop():
+    # only the first hop of a subsearch is keyed: contacts met further
+    # along a multi-hop path get no counter unless they led another
+    # subsearch, and every key is a bare contact id
+    net = build_halo(300, colluding=0.2, seed=37)
+    policy = AttackPolicy(0.5, seed=37)
+    rng = random.Random(37)
+    deep = 0
+    for _ in range(50):
+        origin = rng.choice(net.honest_nodes())
+        before = dict(net.stores[origin].counts)
+        out = halo_lookup(net, origin, rng.randrange(net.space),
+                          mode="collaborative", policy=policy, record=True)
+        firsts = {s.path[0] for s in out.subsearches if s.path}
+        later = {v for s in out.subsearches for v in s.path[1:]}
+        deep += len(later - firsts - set(before))
+        new = set(net.stores[origin].counts) - set(before)
+        assert new <= firsts
+        assert all(isinstance(k, int) for k in net.stores[origin].counts)
+    assert deep > 0  # multi-hop paths did occur and went unrecorded
+
+
 def test_lookup_records_paths_for_reputed_modes():
     net = build_halo(300, colluding=0.1, seed=30)
     origin = net.honest_nodes()[0]
