@@ -9,8 +9,15 @@ owner beats any number of colluder answers, which necessarily sit
 further clockwise.
 
 Routing tables are derived from the live ring on demand, which keeps
-fingers and successor lists exact under churn; a hop whose successor
-list covers the target names its predecessor directly (_window_covers).
+fingers and successor lists exact under churn.  The hop rule: a hop
+whose successor list covers the target names the target's predecessor
+directly (_window_covers); any other hop walks its finger buckets
+nearest first, over the members that make progress, and takes the
+first member its picker accepts, else the nearest bucket's pick.  Plain
+Chord accepts the first member this lookup has not contacted yet; ReDS
+accepts the best-scored member when it scores at least JOIN_SCORE.
+Only the picker differs between the two.
+
 Stores hold first-hand counts only: the join order of late nodes, from
 which first_hand_score derives the join prior, is kept on the network.
 """
@@ -95,11 +102,15 @@ class HaloNetwork:
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
-                 redundancy=REDUNDANCY):
+                 redundancy=None):
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
         if not 0.0 <= colluding < 1.0:
             raise ValueError("colluding fraction outside [0, 1)")
+        if redundancy is None:
+            redundancy = min(REDUNDANCY, bits)   # one subsearch per offset
+        if not 1 <= redundancy <= bits:
+            raise ValueError("redundancy outside [1, bits]")
         self.bits = bits
         self.space = 1 << bits
         self.bucket_size = bucket_size
@@ -135,7 +146,8 @@ class HaloNetwork:
 
     def finger_bucket(self, nid, offset):
         """Contacts for offset: the canonical finger and the nodes just
-        before it, bucket_size in all."""
+        before it, bucket_size in all.  Seen from nid they come in
+        falling clockwise distance, best progress first."""
         canon = self.ring.finger(nid, offset)
         out = [canon]
         cur = canon
@@ -172,6 +184,9 @@ class HaloNetwork:
         else:
             self.stores.pop(nid, None)
             self.score_overrides.pop(nid, None)
+        # ids are never reused, so no store reads nid's counter again
+        for store in self.stores.values():
+            store.forget(nid)
 
     def join(self, malicious=False):
         """Add one node under a fresh uniform id, never reusing an id.
@@ -250,51 +265,49 @@ def _window_covers(net, v, d, window):
     return d <= ring_distance(v, last, net.bits)
 
 
-def chord_next_hop(net, v, target, successors_window=0, avoid=()):
-    """v's finger landing closest to target without reaching it.
+def _walk_buckets(net, v, target, pick):
+    """The bucket walk of the hop rule, from v toward target.
 
-    Returns v itself when no finger makes progress, meaning v is
-    target's predecessor.  With successors_window > 0, v first checks
-    that many entries of its successor list (at most successor_count;
-    see _window_covers) and hands back target's predecessor directly
-    when target falls inside.  Contacts in avoid are sidestepped via
-    bucket alternates when possible, which keeps redundant subsearches
-    on disjoint paths.
+    pick(usable) gets one bucket's members that make progress, best
+    progress first, and returns (candidate, accepted).  v itself comes
+    back when no finger makes progress, meaning v is target's
+    predecessor.
     """
     d = ring_distance(v, target, net.bits)
-    if d == 0:
-        return v
-    if _window_covers(net, v, d, successors_window):
-        return net.ring.predecessor(target)
-    fallback = None
-    i = d.bit_length() - 1
-    while i >= 0:
-        usable = _bucket_progress(net, v, i, d)
-        if usable:
-            if fallback is None:
-                fallback = usable[0]
-            for f in usable:
-                if f not in avoid:
-                    return f
-        i -= 1
-    return v if fallback is None else fallback
+    nearest = None
+    for i in range(d.bit_length() - 1, -1, -1):
+        usable = [c for c in net.finger_bucket(v, i)
+                  if 0 < ring_distance(v, c, net.bits) < d]
+        if not usable:
+            continue
+        cand, accepted = pick(usable)
+        if accepted:
+            return cand
+        if nearest is None:
+            nearest = cand
+    return v if nearest is None else nearest
 
 
-def _bucket_progress(net, v, offset, d):
-    """Bucket members at offset that advance toward the target, best
-    progress first."""
-    out = [c for c in net.finger_bucket(v, offset)
-           if c != v and ring_distance(v, c, net.bits) < d]
-    out.sort(key=lambda c: ring_distance(v, c, net.bits), reverse=True)
-    return out
+def chord_next_hop(net, v, target, avoid=()):
+    """v's finger landing closest to target without reaching it.
+
+    Contacts in avoid are sidestepped via bucket alternates, farther
+    buckets included, when possible, which keeps redundant subsearches
+    on disjoint paths.
+    """
+    def pick(usable):
+        for f in usable:
+            if f not in avoid:
+                return f, True
+        return usable[0], False
+    return _walk_buckets(net, v, target, pick)
 
 
 def reds_next_hop(net, v, target, avoid=()):
     """Reputation-guided next hop: v picks the best-scored member of the
     finger bucket nearest the remaining distance.
 
-    Like chord_next_hop, v first short-circuits over its whole successor
-    list.  Scores are v's contact_score: the shared override, else its
+    Scores are v's contact_score: the shared override, else its
     first-hand score, each read once per member.  Selection is
     deterministic maximum score; among the equal best, members outside
     avoid are preferred, and v's store breaks what tie remains with its
@@ -304,71 +317,53 @@ def reds_next_hop(net, v, target, avoid=()):
     trading a little progress for a contact not known to be bad.  v
     must be a live honest node (it needs a reputation store).
     """
-    d = ring_distance(v, target, net.bits)
-    if d == 0:
-        return v
-    if _window_covers(net, v, d, net.successor_count):
-        return net.ring.predecessor(target)
     store = net.stores[v]
 
-    def pick_from(members):
-        scores = [net.contact_score(v, c) for c in members]
+    def pick(usable):
+        scores = [net.contact_score(v, c) for c in usable]
         best = max(scores)
-        top = [c for c, s in zip(members, scores) if s == best]
+        top = [c for c, s in zip(usable, scores) if s == best]
         fresh = [c for c in top if c not in avoid] or top
-        return store.break_tie(fresh), best
-
-    nearest = None
-    for i in range(d.bit_length() - 1, -1, -1):
-        usable = _bucket_progress(net, v, i, d)
-        if not usable:
-            continue
-        cand, best = pick_from(usable)
-        if nearest is None:
-            nearest = cand
-        if best >= JOIN_SCORE:
-            return cand
-    # every bucket looks bad; stick with the nearest bucket's best
-    return v if nearest is None else nearest
+        return store.break_tie(fresh), best >= JOIN_SCORE
+    return _walk_buckets(net, v, target, pick)
 
 
 def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
     """Iteratively route from origin toward pred(y).
 
     Returns (w, path, hijack_kind, covered).  Each hop is a network
-    contact; a colluder contacted during an attacked lookup hijacks the
-    subsearch.  covered is set when the hijacker is pred(y) itself but
-    the hop that named it was short-circuiting over its successor list,
-    so the origin learned owner(y) from that honest node as well and a
-    lying predecessor cannot conceal it.  Nodes in avoid were contacted
-    by earlier subsearches of the same lookup and are detoured around
-    when an alternate contact exists.
+    contact.  A hop whose successor list covers y names pred(y)
+    directly; any other hop asks reds_next_hop when its node is reputed
+    in this mode and chord_next_hop else.  A colluder contacted during
+    an attacked lookup hijacks the subsearch and comes back as w.
+    covered is set when the hijacker is pred(y) named by such a
+    short-circuiting hop, so the origin learned owner(y) from that
+    honest node as well and a lying predecessor cannot conceal it.
+    Nodes in avoid were contacted by earlier subsearches of the same
+    lookup and are detoured around when an alternate contact exists.
     """
+    origin_reputed = mode in REPUTED_MODES
+    relay_reputed = mode in ("collaborative", "shared")
     path = []
     cur = origin
-    guard = 2 * net.bits
-    while guard:
-        guard -= 1
-        if cur == origin:
-            reputed = mode in REPUTED_MODES
-        else:
-            reputed = mode in ("collaborative", "shared") and \
-                cur not in net.malicious
-        if reputed:
+    pred = net.ring.predecessor(y)
+    for _ in range(2 * net.bits):
+        d = ring_distance(cur, y, net.bits)
+        covered = d > 0 and _window_covers(net, cur, d, net.successor_count)
+        if covered:
+            nxt = pred
+        elif (origin_reputed if cur == origin
+              else relay_reputed and cur not in net.malicious):
             nxt = reds_next_hop(net, cur, y, avoid=avoid)
         else:
-            nxt = chord_next_hop(net, cur, y,
-                                 successors_window=net.successor_count,
-                                 avoid=avoid)
+            nxt = chord_next_hop(net, cur, y, avoid=avoid)
         if nxt == cur:
             return cur, path, None, False
         path.append(nxt)
         if attacked and nxt in net.malicious:
             kind = "start" if len(path) == 1 else (
-                "knuckle" if nxt == net.ring.predecessor(y) else "path")
-            covered = nxt == net.ring.predecessor(y) and _window_covers(
-                net, cur, ring_distance(cur, y, net.bits), net.successor_count)
-            return None, path, kind, covered
+                "knuckle" if nxt == pred else "path")
+            return nxt, path, kind, covered
         cur = nxt
     return cur, path, None, False
 
@@ -382,31 +377,23 @@ def _subsearch(net, origin, target, offset, mode, attacked, avoid):
         return Subsearch(offset, tuple(path), None,
                          net.closest_colluder(target), len(path),
                          hijack, exists)
+    # w and z = owner(y) each name their offset finger, unless a colluder
+    # in an attacked lookup names the colluder closest to the target
     z = net.ring.owner(y)
-    if hijack is not None:
-        # pred(y) hijacked, but the short-circuiting hop already named
-        # owner(y), so the probe of z goes ahead regardless
-        candidates = [net.closest_colluder(target)]
-        if not (attacked and z in net.malicious):
-            candidates.append(net.ring.finger(z, offset))
-        best = clockwise_closest(target, candidates, net.bits)
-        return Subsearch(offset, tuple(path), z, best, len(path) + 1,
-                         hijack, exists)
-    candidates = [net.ring.finger(w, offset)]
-    contacts = len(path)
-    if z != w:
-        contacts += 1
-        if attacked and z in net.malicious:
+    candidates = []
+    for x in (w,) if z == w else (w, z):
+        if attacked and x in net.malicious:
             candidates.append(net.closest_colluder(target))
-            hijack = "knuckle"
+            hijack = hijack or "knuckle"
         else:
-            candidates.append(net.ring.finger(z, offset))
+            candidates.append(net.ring.finger(x, offset))
     best = clockwise_closest(target, candidates, net.bits)
-    return Subsearch(offset, tuple(path), z, best, contacts, hijack, exists)
+    return Subsearch(offset, tuple(path), z, best,
+                     len(path) + len(candidates) - 1, hijack, exists)
 
 
-def halo_lookup(net, origin, target, redundancy=None, mode="regular",
-                policy=None, serial=None, record=False):
+def halo_lookup(net, origin, target, mode="regular", policy=None,
+                record=False):
     """Run one redundant lookup and consolidate the subsearch answers.
 
     With record, in the reputation-guided modes, the origin counts one
@@ -419,16 +406,12 @@ def halo_lookup(net, origin, target, redundancy=None, mode="regular",
     if origin not in net.stores:
         raise ValueError("lookup origin %r is not a live honest node"
                          % (origin,))
-    r = net.redundancy if redundancy is None else redundancy
-    if r < 1:
-        raise ValueError("redundancy must be positive")
-    if serial is None:
-        serial = net.serial
-        net.serial += 1
+    serial = net.serial
+    net.serial += 1
     attacked = bool(policy.should_attack(serial)) if policy is not None else False
     subs = []
     contacted = set()
-    for k in range(r):
+    for k in range(net.redundancy):
         sub = _subsearch(net, origin, target, net.bits - 1 - k, mode,
                          attacked, contacted)
         contacted.update(sub.path)

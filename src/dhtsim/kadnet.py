@@ -45,10 +45,8 @@ POOL_CAP = 10
 class KadNode:
     """One participant: id, bucket state, and contact bookkeeping."""
 
-    def __init__(self, nid, malicious=False, bits=DEFAULT_BITS):
+    def __init__(self, nid):
         self.id = nid
-        self.malicious = malicious
-        self.bits = bits
         self.buckets = {}     # shared-prefix length -> list of contact ids
         self.last_seen = {}   # contact id -> monotonic activity serial
         self.sorted_contacts = []
@@ -61,9 +59,9 @@ class KadNode:
         return (i < len(self.sorted_contacts)
                 and self.sorted_contacts[i] == nid)
 
-    def drop(self, nid):
+    def drop(self, nid, bits):
         """Remove a contact observed to be gone."""
-        j = shared_prefix_bits(self.id, nid, self.bits)
+        j = shared_prefix_bits(self.id, nid, bits)
         bucket = self.buckets.get(j)
         if bucket and nid in bucket:
             bucket.remove(nid)
@@ -130,8 +128,7 @@ class KadNetwork:
         bad = self.rng.sample(ids, int(colluding * n))
         self.malicious = set(bad)
         self.colluders = sorted(bad)
-        self.nodes = {v: KadNode(v, v in self.malicious, bits)
-                      for v in ids}
+        self.nodes = {v: KadNode(v) for v in ids}
         self.stores = {
             v: ReputationStore(seed=self.rng.randrange(1 << 30))
             for v in ids if v not in self.malicious
@@ -164,8 +161,7 @@ class KadNetwork:
         neighbourhood learns it.  A protocol step rather than a scored
         lookup: it records no scores, takes no attack serial, and
         colluders perform it too."""
-        _iterate(self, v, v, "regular", False, None,
-                 self.k, self.alpha, self.beta, self.replica_roots(v))
+        _iterate(self, v, v, "regular", False, None, self.replica_roots(v))
 
     def is_malicious(self, nid):
         return nid in self.malicious
@@ -237,7 +233,7 @@ class KadNetwork:
                 break
         self._used_ids.add(nid)
         insort(self.ids, nid)
-        node = KadNode(nid, malicious, self.bits)
+        node = KadNode(nid)
         self.nodes[nid] = node
         if malicious:
             self.malicious.add(nid)
@@ -284,7 +280,7 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
     j = shared_prefix_bits(node.id, candidate, net.bits)
     bucket = node.buckets.setdefault(j, [])
     if len(bucket) >= net.k:
-        if reds and not node.malicious:
+        if reds and node.id not in net.malicious:
             counts = net.stores[node.id].counts
             worst = min(bucket,
                         key=lambda u: (counts.get(u, (0, 0))[0],
@@ -333,7 +329,7 @@ def credit_reputation(q, graph, closest_root):
     return credited
 
 
-def _respond(net, v, key, attacked, mode, beta, truth):
+def _respond(net, v, key, attacked, mode, truth):
     """Contacts v returns for key, whose true root is truth (or None).
 
     Honest nodes normally answer with the closest contacts they know;
@@ -349,7 +345,8 @@ def _respond(net, v, key, attacked, mode, beta, truth):
     the true closest replica root, protecting its reputation.
     """
     node = net.nodes[v]
-    if node.malicious:
+    beta = net.beta
+    if v in net.malicious:
         floor = shared_prefix_bits(v, key, net.bits) + 1
         closer = [m for m in net.colluders_within(key, floor) if m != v]
         if closer:
@@ -399,17 +396,17 @@ def _nominate(net, v, key, attacked, roots, truth):
     return v if v in roots else None
 
 
-def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
+def _iterate(net, q, key, mode, attacked, store, roots):
     """Core of the iterative search: returns graph, nominations,
     queried, dead, and step count.  roots lists key's replica roots,
     nearest first, as replica_roots gives them.
 
-    Keeps a shortlist of the k closest contacts heard of, querying the
-    alpha best unqueried entries each step: closest-first normally, or
-    by q's own scores in the reputation modes.  The search ends when
-    the k closest live entries have all been queried.  Contacts
-    observed dead are purged from the shortlist, q's buckets, and q's
-    score table.
+    Keeps a shortlist of the net.k closest contacts heard of, querying
+    the net.alpha best unqueried entries each step: closest-first
+    normally, or by q's own scores in the reputation modes.  The search
+    ends when the net.k closest live entries have all been queried.
+    Contacts observed dead are purged from the shortlist, q's buckets,
+    and q's score table.
 
     q never enters its own shortlist, so no contact can return it; when
     q is itself a replica root it nominates itself instead, and can
@@ -437,24 +434,24 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
         for d, u in shortlist:
             if u not in dead:
                 top.append(u)
-                if len(top) == k:
+                if len(top) == net.k:
                     break
         batch = [u for u in top if u not in queried]
         if not batch:
             break
         if reds:
             batch.sort(key=lambda u: (-store.score(u), dist[u]))
-        for v in batch[:alpha]:
+        for v in batch[:net.alpha]:
             queried.add(v)
             if v not in net.nodes:
                 # observed departure: forget the contact everywhere
                 dead.add(v)
-                node_q.drop(v)
+                node_q.drop(v, net.bits)
                 if store is not None:
-                    store.counts.pop(v, None)
+                    store.forget(v)
                 continue
-            returned = [u for u in _respond(net, v, key, attacked,
-                                            mode, beta, truth) if u != q]
+            returned = [u for u in _respond(net, v, key, attacked, mode,
+                                            truth) if u != q]
             answer = _nominate(net, v, key, attacked, roots, truth)
             if answer is not None:
                 nominated.add(answer)
@@ -463,7 +460,7 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
             graph_step(graph, q, 0 if v not in graph.vertices else step,
                        v, returned)
             bucket_insert(net, node_q, v, reds=reds)
-            if not net.nodes[v].malicious:
+            if v not in net.malicious:
                 bucket_insert(net, net.nodes[v], q, active=False)
             for b in returned:
                 if b not in dead:
@@ -472,8 +469,7 @@ def _iterate(net, q, key, mode, attacked, store, k, alpha, beta, roots):
     return graph, nominated, queried, dead, step
 
 
-def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
-               alpha=None, beta=None, k=None):
+def kad_lookup(net, q, key, mode="regular", policy=None):
     """Iterative lookup from q for key; returns the outcome with its
     lookup graph.
 
@@ -489,9 +485,6 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
         raise ValueError("unknown mode %r" % (mode,))
     if q not in net.stores:
         raise ValueError("querier %r is not a live honest node" % (q,))
-    alpha = net.alpha if alpha is None else alpha
-    beta = net.beta if beta is None else beta
-    k = net.k if k is None else k
     attacked = policy.should_attack(net.serial) if policy is not None \
         else False
     net.serial += 1
@@ -499,11 +492,11 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
     graph, nominated, queried, dead, step = _iterate(
-        net, q, key, mode, attacked, store, k, alpha, beta, roots)
+        net, q, key, mode, attacked, store, roots)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
     success = closest_root is not None and closest_root == truth
-    if record and truth != q:
+    if truth != q:
         if success:
             credited = credit_reputation(q, graph, closest_root)
         else:
@@ -518,25 +511,24 @@ def kad_lookup(net, q, key, mode="regular", policy=None, record=True,
                             closest_root, success, graph, step, queried)
 
 
-def warmup(net, lookups_per_node, mode="regular", policy=None, seed=0,
-           record=True):
-    """Populate buckets with lookups_per_node lookups from every honest
-    node, in a fresh random permutation each round."""
+def warmup(net, lookups_per_node, policy=None, seed=0):
+    """Populate buckets with lookups_per_node recorded regular-mode
+    lookups from every honest node, in a fresh random permutation each
+    round."""
     rng = random.Random(seed)
     for _ in range(lookups_per_node):
         order = net.honest_nodes()
         rng.shuffle(order)
         for q in order:
             if q in net.stores:
-                kad_lookup(net, q, net.random_key(rng), mode=mode,
-                           policy=policy, record=record)
+                kad_lookup(net, q, net.random_key(rng), policy=policy)
 
 
 def pollution_fraction(net):
     """Malicious share of all honest nodes' bucket entries."""
     total = bad = 0
     for v, node in net.nodes.items():
-        if node.malicious:
+        if v in net.malicious:
             continue
         for bucket in node.buckets.values():
             total += len(bucket)

@@ -65,6 +65,12 @@ class ReputationStore:
         successes, uses = entry
         return (successes + prior * PRIOR_WEIGHT) / (uses + PRIOR_WEIGHT)
 
+    def forget(self, contact):
+        """Drop contact's counter and every tie set naming it."""
+        self.counts.pop(contact, None)
+        for sig in [sig for sig in self._tie_choice if contact in sig]:
+            del self._tie_choice[sig]
+
     def break_tie(self, tied):
         """One of the equally scored candidates in tied, picked at random
         the first time this set ties and reused whenever it ties again,

@@ -239,7 +239,8 @@ class SharedExchange:
         for f in list(self.reports):
             hs = holders.get(f)
             if hs is None:
-                del self.reports[f]
+                for s in self.reports.pop(f):
+                    self.last_sent.pop((s, f), None)
                 continue
             live = set(hs)
             table = self.reports[f]

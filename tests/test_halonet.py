@@ -141,17 +141,45 @@ def test_chord_next_hop_detours_around_avoided():
             assert ring_distance(v, alt, net.bits) < d
 
 
-def test_chord_next_hop_successor_window():
-    net = small_net(64, seed=14)
-    v = net.ring.ids[0]
-    succ = net.ring.successors(v, net.successor_count)
-    inside = (succ[3] + succ[4]) // 2 if succ[3] + 1 < succ[4] else succ[4]
-    hop = chord_next_hop(net, v, inside, successors_window=True)
-    assert hop == net.ring.predecessor(inside)
-    # outside the window the normal finger rule applies
-    far = (v + net.space // 2) % net.space
-    assert chord_next_hop(net, v, far, successors_window=True) == \
-        chord_next_hop(net, v, far)
+def nearest_progressing_bucket(net, v, target):
+    """Members of v's nearest finger bucket that advance toward target."""
+    d = ring_distance(v, target, net.bits)
+    for i in range(d.bit_length() - 1, -1, -1):
+        bucket = [c for c in net.finger_bucket(v, i)
+                  if c != v and ring_distance(v, c, net.bits) < d]
+        if bucket:
+            return bucket
+    return []
+
+
+def test_route_short_circuits_over_successor_list():
+    # hops whose successor list covers y while y's predecessor sits in
+    # no bucket the finger walk reaches first: the route must still name
+    # pred(y) outright, in every mode, and a colluder named so is covered
+    net = small_net(64, colluding=0.25, seed=14)
+    cases = []
+    for v in net.honest_nodes():
+        succ = net.ring.successors(v, net.successor_count)
+        for y in succ[1:]:
+            pred = net.ring.predecessor(y)
+            d = ring_distance(v, y, net.bits)
+            assert _window_covers(net, v, d, net.successor_count)
+            if pred not in nearest_progressing_bucket(net, v, y):
+                assert chord_next_hop(net, v, y) != pred
+                cases.append((v, y, pred))
+    assert sum(p in net.malicious for _, _, p in cases) >= 10
+    assert sum(p not in net.malicious for _, _, p in cases) >= 10
+    for mode in MODES:
+        net = small_net(64, colluding=0.25, seed=14)
+        for v, y, pred in cases:
+            for attacked in (False, True):
+                w, path, hijack, covered = _route_to_predecessor(
+                    net, v, y, mode, attacked, set())
+                assert path == [pred] and w == pred
+                if attacked and pred in net.malicious:
+                    assert hijack == "start" and covered
+                else:
+                    assert hijack is None and not covered
 
 
 def test_window_covers_matches_successor_list():
@@ -306,17 +334,6 @@ def test_classification_covers_reasons():
             KNUCKLE_NONEXISTENT} <= seen
 
 
-def nearest_progressing_bucket(net, v, target):
-    """Members of v's nearest finger bucket that advance toward target."""
-    d = ring_distance(v, target, net.bits)
-    for i in range(d.bit_length() - 1, -1, -1):
-        bucket = [c for c in net.finger_bucket(v, i)
-                  if c != v and ring_distance(v, c, net.bits) < d]
-        if bucket:
-            return bucket
-    return []
-
-
 def test_reds_next_hop_avoids_low_scored_contact():
     net = small_net(64, seed=29, bucket_size=2)
     pairs = []
@@ -411,8 +428,9 @@ def test_lookup_argument_errors():
     good = net.honest_nodes()[0]
     with pytest.raises(ValueError):
         halo_lookup(net, bad, 1)
-    with pytest.raises(ValueError):
-        halo_lookup(net, good, 1, redundancy=0)
+    for redundancy in (0, net.bits + 1):
+        with pytest.raises(ValueError):
+            build_halo(100, colluding=0.2, seed=31, redundancy=redundancy)
     with pytest.raises(ValueError):
         halo_lookup(net, good, 1, mode="bogus")
     gone = net.honest_nodes()[1]

@@ -280,7 +280,7 @@ class TestLookup:
             for _ in range(200):
                 key = net.random_key(rng)
                 v = rng.choice(net.colluders)
-                ret = _respond(net, v, key, attacked, "regular", net.beta,
+                ret = _respond(net, v, key, attacked, "regular",
                                net.truth_root(key))
                 assert len(ret) <= net.beta
                 floor = shared_prefix_bits(v, key) + 1
@@ -305,7 +305,7 @@ class TestLookup:
                 key=lambda u: xor_distance(u, key))
         seen = set()
         for _ in range(200):
-            seen.update(_respond(net, v, key, True, "regular", net.beta,
+            seen.update(_respond(net, v, key, True, "regular",
                                  net.truth_root(key)))
         assert len(seen) > 2 * net.beta
 
@@ -326,7 +326,7 @@ class TestLookup:
             roots = set(net.replica_roots(key))
             assert _nominate(net, v, key, False, roots, truth) == truth
             assert _respond(net, v, key, False, "regular",
-                            net.beta, truth)[0] == truth
+                            truth)[0] == truth
             handed += 1
         assert handed > 20
 

@@ -278,3 +278,38 @@ def test_exchanges_share_no_report_cache():
     info = first.forged_report.cache_info()
     assert info.misses > 0
     assert second.forged_report.cache_info() == info
+
+
+def test_churn_leaves_no_departed_id_behind():
+    # ids are never reused, so nothing said about a departed node is read
+    # again: no store may keep its counter or a tie set naming it, and
+    # after the next epoch no exchange report or last-sent key may either
+    net = build_halo(100, 0.2, seed=21)
+    policy = AttackPolicy(1.0, seed=21)
+    ex = SharedExchange(net, "dropoff", seed=21)
+    rng = random.Random(21)
+    departed = set()
+    counted = tied = stale = 0   # how often there was something to drop
+    for i in range(1, 601):
+        origin = rng.choice(net.honest_nodes())
+        halo_lookup(net, origin, rng.randrange(net.space), mode="shared",
+                    policy=policy, record=True)
+        if i % 4 == 0:
+            gone = rng.choice(net.ring.ids)
+            stores = net.stores.values()
+            counted += any(gone in st.counts for st in stores)
+            tied += any(gone in sig for st in stores for sig in st._tie_choice)
+            was_bad = net.is_malicious(gone)
+            net.leave(gone)
+            departed.add(gone)
+            net.join(malicious=was_bad)
+            for st in net.stores.values():
+                assert departed.isdisjoint(st.counts)
+                assert all(departed.isdisjoint(sig) for sig in st._tie_choice)
+        if i % 100 == 0:
+            stale += sum(not departed.isdisjoint(key) for key in ex.last_sent)
+            ex.run_epoch()
+            assert departed.isdisjoint(ex.reports)
+            assert all(departed.isdisjoint(t) for t in ex.reports.values())
+            assert all(departed.isdisjoint(key) for key in ex.last_sent)
+    assert counted > 20 and tied > 20 and stale > 20
