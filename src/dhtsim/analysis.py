@@ -158,6 +158,8 @@ def use_based_sim(n, lookups, m, s, f, method="dropoff", seed=0,
         raise ValueError("m outside 1..log2(n)")
     if lookups < 1:
         raise ValueError("need at least one trial")
+    if not all(0.0 <= v <= 1.0 for v in (s, f, victim_presence)):
+        raise ValueError("s, f and victim_presence must lie in [0, 1]")
     rng = random.Random(seed)
     own = 1.0 - f
     hits = 0

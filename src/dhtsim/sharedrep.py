@@ -14,8 +14,6 @@ import statistics
 from functools import lru_cache
 from math import comb
 
-from .halonet import knuckles
-
 METHODS = ("average", "median", "dropoff")
 
 
@@ -55,13 +53,6 @@ class ScoringBin:
         return statistics.median(self.entries)
 
 
-def joint_knuckles(net, k, f):
-    """Nodes other than k that hold f in their finger tables."""
-    out = knuckles(net, f)
-    out.discard(k)
-    return out
-
-
 def aggregate(method, own, received, rng=None):
     """Fold received scores for a finger into one shared score.
 
@@ -98,7 +89,8 @@ def expected_dropoff(n_h, n_m, r_h, r_m, r_k):
     aggregate with the remaining probability mass landing on r_m.
     """
     _check_dropoff(n_h, n_m, r_h, r_m, r_k)
-    return _dropoff(_admission(n_h, r_h, r_k), n_m, r_h, r_m, r_k)
+    (p,), (q,), (e,) = _dropoff_grid(n_h, n_m, r_h, [r_m], r_k)
+    return p, q, e
 
 
 def _check_dropoff(n_h, n_m, *scores):
@@ -109,27 +101,38 @@ def _check_dropoff(n_h, n_m, *scores):
             raise ValueError("score outside [0, 1]")
 
 
-def _admission(n, r, r_k):
-    """Chance that exactly i of n reports of r enter a bin owned at
-    r_k, for i = 0..n."""
-    d = abs(r - r_k)
-    return [comb(n, i) * (1.0 - d) ** i * d ** (n - i)
+def _admission(n, D):
+    """Chance that exactly i of n equal reports enter a bin, as one row
+    per i = 0..n holding a column entry per distance d in D between the
+    report and the bin owner's score."""
+    return [[comb(n, i) * (1.0 - d) ** i * d ** (n - i) for d in D]
             for i in range(n + 1)]
 
 
-def _dropoff(admit_h, n_m, r_h, r_m, r_k):
-    """expected_dropoff with the honest admission pmf precomputed,
-    which does not depend on r_m."""
-    n_h = len(admit_h) - 1
-    admit_m = _admission(n_m, r_m, r_k)
-    # below[m]: chance that fewer than m malicious reports are admitted
-    below = [sum(admit_m[:m]) for m in range(n_m + 2)]
-    p = 0.0
+def _dropoff_grid(n_h, n_m, r_h, R, r_k):
+    """expected_dropoff's (p, q, e) for every malicious report r_m in R
+    at once, as three columns indexed like R.
+
+    A point's entries come from the same float operations in the same
+    order whatever else R holds.  Prefix sums stay sum() calls: Python
+    3.12 compensates float sums, so a running prefix would differ there.
+    """
+    admit_h = [row[0] for row in _admission(n_h, [abs(r_h - r_k)])]
+    admit_m = _admission(n_m, [abs(r - r_k) for r in R])
+    P = [0.0] * len(R)
     for i in range(1, n_h + 1):
-        p += admit_h[i] * below[min(i, n_m + 1)]
-    q = sum(admit_h[i] * admit_m[i] for i in range(1, min(n_h, n_m) + 1))
-    e = p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
-    return p, q, e
+        if i <= n_m + 1:
+            # per point, the chance that fewer than i malicious reports
+            # are admitted; past n_m + 1 it stays the whole pmf's sum
+            below = [sum(t) for t in zip(*admit_m[:i])]
+        h = admit_h[i]
+        P = [p + h * b for p, b in zip(P, below)]
+    ties = [[admit_h[i] * a for a in admit_m[i]]
+            for i in range(1, min(n_h, n_m) + 1)]
+    Q = [sum(t) for t in zip(*ties)] if ties else [0] * len(R)
+    E = [p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
+         for p, q, r_m in zip(P, Q, R)]
+    return P, Q, E
 
 
 def adversarial_report(method, target_own_score, truth, goal=None,
@@ -141,24 +144,25 @@ def adversarial_report(method, target_own_score, truth, goal=None,
     Average and median take extremal reports at face value.  Drop-off
     admits a report with probability 1 - |report - own|, so the optimum
     trades admission odds against pull and sits strictly inside the
-    unit interval; it is found by grid search on the closed form.
+    unit interval.  It is the first of the steps + 1 grid points
+    s / steps with the most extreme closed-form expectation; the grid
+    is evaluated column-wise, all points per term of the closed form.
     """
     method = _canon_method(method)
+    if steps < 1:
+        raise ValueError("need at least one grid step")
     if goal is None:
         goal = 1.0 if truth < 0.5 else 0.0
+    elif not 0.0 <= goal <= 1.0:
+        raise ValueError("goal outside [0, 1]")
     if method in ("average", "median"):
         return goal
     _check_dropoff(n_honest, n_malicious, truth, target_own_score)
-    admit_h = _admission(n_honest, truth, target_own_score)
-    best_r = goal
-    best_val = None
-    for s in range(steps + 1):
-        r = s / steps
-        _, _, e = _dropoff(admit_h, n_malicious, truth, r, target_own_score)
-        val = e if goal >= 0.5 else -e
-        if best_val is None or val > best_val:
-            best_val, best_r = val, r
-    return best_r
+    R = [s / steps for s in range(steps + 1)]
+    _, _, E = _dropoff_grid(n_honest, n_malicious, truth, R,
+                            target_own_score)
+    extreme = max if goal >= 0.5 else min
+    return R[extreme(range(len(R)), key=E.__getitem__)]
 
 
 class SharedExchange:

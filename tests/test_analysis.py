@@ -221,3 +221,13 @@ def test_use_based_validation():
         use_based_sim(10000, 100, 14, 0.8, 0.8)
     with pytest.raises(ValueError):
         use_based_sim(10000, 0, 1, 0.8, 0.8)
+    for bad in (-0.1, 1.5, 3.0, float("nan")):
+        with pytest.raises(ValueError):
+            use_based_sim(1024, 10, 2, bad, 0.8)
+        with pytest.raises(ValueError):
+            use_based_sim(1024, 10, 2, 0.8, bad)
+    for presence in (-0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError):
+            use_based_sim(1024, 10, 2, 0.8, 0.8, victim_presence=presence)
+    for edge in (0.0, 1.0):
+        use_based_sim(1024, 10, 2, edge, edge, victim_presence=edge)

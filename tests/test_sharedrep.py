@@ -14,7 +14,6 @@ from dhtsim.sharedrep import (
     adversarial_report,
     aggregate,
     expected_dropoff,
-    joint_knuckles,
 )
 
 
@@ -32,7 +31,7 @@ def test_joint_knuckles_regular_ring():
         fingers = {net.ring.finger(k, i) for i in range(bits)} - {k}
         assert len(fingers) == j
         for f in fingers:
-            assert len(joint_knuckles(net, k, f)) == j - 1
+            assert len(knuckles(net, f) - {k}) == j - 1
 
 
 def test_joint_knuckles_matches_bruteforce():
@@ -47,7 +46,7 @@ def test_joint_knuckles_matches_bruteforce():
     rng = random.Random(4)
     for k in rng.sample(net.ring.ids, 40):
         for f in {net.ring.finger(k, i) for i in range(net.bits)} - {k}:
-            assert joint_knuckles(net, k, f) == holds[f] - {k}
+            assert knuckles(net, f) - {k} == holds[f] - {k}
 
 
 def test_knuckle_count_at_scale():
@@ -198,6 +197,73 @@ def test_adversarial_dropoff_is_exact_grid_argmax():
             report = adversarial_report("dropoff", own, truth, goal,
                                         n_h, n_m)
             assert report == best / 200
+
+
+def test_adversarial_report_argument_errors():
+    # steps=0 used to divide by zero, a negative steps returned goal
+    # unsearched, and a goal outside [0, 1] was echoed back
+    for steps in (0, -3):
+        with pytest.raises(ValueError):
+            adversarial_report("dropoff", 0.3, 0.1, 1.0, steps=steps)
+    for method in ("average", "median", "dropoff"):
+        for goal in (2.0, -0.5, float("nan")):
+            with pytest.raises(ValueError):
+                adversarial_report(method, 0.3, 0.1, goal)
+    # the smallest grid is its two end points
+    assert adversarial_report("dropoff", 0.3, 0.1, 1.0, steps=1) in (0.0, 1.0)
+
+
+def _pointwise_admission(n, r, r_k):
+    d = abs(r - r_k)
+    return [comb(n, i) * (1.0 - d) ** i * d ** (n - i)
+            for i in range(n + 1)]
+
+
+def _pointwise_dropoff(admit_h, n_m, r_h, r_m, r_k):
+    n_h = len(admit_h) - 1
+    admit_m = _pointwise_admission(n_m, r_m, r_k)
+    below = [sum(admit_m[:m]) for m in range(n_m + 2)]
+    p = 0.0
+    for i in range(1, n_h + 1):
+        p += admit_h[i] * below[min(i, n_m + 1)]
+    q = sum(admit_h[i] * admit_m[i] for i in range(1, min(n_h, n_m) + 1))
+    e = p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
+    return p, q, e
+
+
+def _pointwise_report(own, truth, goal, n_h, n_m, steps):
+    admit_h = _pointwise_admission(n_h, truth, own)
+    best_r = best_val = None
+    for s in range(steps + 1):
+        r = s / steps
+        _, _, e = _pointwise_dropoff(admit_h, n_m, truth, r, own)
+        val = e if goal >= 0.5 else -e
+        if best_val is None or val > best_val:
+            best_val, best_r = val, r
+    return best_r
+
+
+def test_grid_kernel_matches_pointwise_oracle():
+    """The column-wise grid equals, bit for bit, a search that evaluates
+    the closed form one point at a time and keeps the first extreme."""
+    rng = random.Random(29)
+    cases = [(0, 1), (0, 6), (1, 1), (3, 1), (9, 1), (12, 3), (30, 12)]
+    cases += [(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(90)]
+    for n_h, n_m in cases:
+        own = rng.choice([0.0, 1.0, rng.randint(0, 100) / 100,
+                          rng.random()])
+        # an own score equal to the honest one makes flat grids with ties
+        truth = own if rng.random() < 0.3 else rng.randint(0, 100) / 100
+        steps = rng.choice([1, 2, 7, 50, 200, 333])
+        admit_h = _pointwise_admission(n_h, truth, own)
+        for _ in range(3):
+            r_m = rng.choice([0.0, 1.0, own, rng.random()])
+            assert expected_dropoff(n_h, n_m, truth, r_m, own) == \
+                _pointwise_dropoff(admit_h, n_m, truth, r_m, own)
+        for goal in (0.0, 1.0):
+            assert adversarial_report("dropoff", own, truth, goal, n_h, n_m,
+                                      steps) == \
+                _pointwise_report(own, truth, goal, n_h, n_m, steps)
 
 
 def test_exchange_broadcasts_only_changes():
