@@ -103,23 +103,18 @@ def use_based_targets(ring, attacker, m):
     if not 1 <= m <= top:
         raise ValueError("m outside 1..log2(n)")
     victims = []
-    seen = set()
     for j in range(1, m + 1):
         # the m largest finger offsets of the id space
         off = 1 << (ring.bits - j)
         lo = (ring.predecessor(attacker) - off) % ring.space
         hi = (attacker - off) % ring.space
-        cand = ring.predecessor(hi + 1)  # last node at or before hi
-        if ring_gap_contains(lo, cand, hi, ring.space) and cand != attacker:
-            if cand not in seen:
-                seen.add(cand)
-                victims.append(cand)
+        pointing = ring.interval(lo, hi)
+        if not pointing:
+            continue
+        cand = pointing[-1]   # last node at or before hi
+        if cand != attacker and cand not in victims:
+            victims.append(cand)
     return victims
-
-
-def ring_gap_contains(lo, x, hi, space):
-    """True when x lies in the clockwise-open interval (lo, hi]."""
-    return (x - lo) % space <= (hi - lo) % space and x != lo
 
 
 def expected_use_based_attacked(lookups, m):

@@ -225,21 +225,9 @@ def knuckle_interval(net, target, offset):
     return lo, hi
 
 
-def _interval_nodes(ring, lo, hi):
-    """Live nodes in the clockwise-open interval (lo, hi]."""
-    if lo == hi:
-        return []
-    ids = ring.ids
-    i = bisect_left(ids, (lo + 1) % ring.space)
-    j = bisect_left(ids, (hi + 1) % ring.space)
-    if (lo + 1) % ring.space <= hi:
-        return ids[i:j]
-    return ids[i:] + ids[:j]
-
-
 def knuckle_exists(net, target, offset):
     lo, hi = knuckle_interval(net, target, offset)
-    return len(_interval_nodes(net.ring, lo, hi)) > 0
+    return bool(net.ring.interval(lo, hi))
 
 
 def knuckles(net, target):
@@ -248,7 +236,7 @@ def knuckles(net, target):
     out = set()
     for offset in range(net.bits):
         lo, hi = knuckle_interval(net, target, offset)
-        out.update(_interval_nodes(net.ring, lo, hi))
+        out.update(net.ring.interval(lo, hi))
     out.discard(v)
     return out
 

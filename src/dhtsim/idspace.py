@@ -98,6 +98,15 @@ class Ring:
                 out.append(cand)
         return out
 
+    def interval(self, lo, hi):
+        """Live ids in the clockwise-open interval (lo, hi], clockwise
+        from lo; empty when lo == hi."""
+        i = bisect_right(self.ids, lo)
+        j = bisect_right(self.ids, hi)
+        if lo <= hi:
+            return self.ids[i:j]
+        return self.ids[i:] + self.ids[:j]
+
     def finger(self, nid, i):
         """Owner of nid + 2**i, the canonical finger at offset i."""
         return self.owner((nid + (1 << i)) % self.space)

@@ -1,6 +1,9 @@
 """Kademlia-style overlay with iterative parallel lookups.
 
-Nodes keep one k-bucket per shared-prefix length.  A node joins as in
+Each node keeps its contacts once, as a sorted id list with a
+last-seen serial per contact.  Its k-bucket for shared-prefix length j
+is not stored apart: the contacts sharing exactly j leading bits with
+the node's id form one contiguous run of that list.  A node joins as in
 Kademlia (Maymounkov & Mazieres, IPTPS 2002, section 2.3): it starts
 from a few random contacts and looks up its own id through them, which
 fills its near buckets and lets the honest nodes it queries file it.
@@ -8,10 +11,12 @@ After that, nodes learn contacts opportunistically from lookup
 traffic, which is exactly what a colluding adversary exploits:
 attacked queries answer with the colluders nearest the key, and even
 unattacked ones pad their answers with colluders to pollute routing
-tables.  The reputation variants
-fight back at three points: the querier picks contacts by score, every
-honest responder picks within its bucket by score, and bucket eviction
-ejects the worst-scoring entry instead of the least recent one.
+tables.  _answer is the single rule for what a queried node replies:
+the contacts it returns and the root it nominates.  The reputation
+variants fight back at three points: the querier picks contacts by
+score, every honest responder picks within its bucket by score, and
+bucket eviction ejects the worst-scoring entry instead of the least
+recent one.
 
 Lookup accounting follows a per-lookup graph of who returned whom.
 When a lookup ends at the true closest replica root, a depth-first
@@ -28,8 +33,8 @@ from .idspace import (DEFAULT_BITS, sample_ids, shared_prefix_bits,
 from .reputation import ReputationStore
 
 DEFAULT_K = 10
-DEFAULT_ALPHA = 7
-DEFAULT_BETA = 3
+ALPHA = 7     # queries sent per lookup step
+BETA = 3      # contacts returned per query
 DEFAULT_REPLICAS = 10
 DEFAULT_TOLERANCE_BITS = 8
 
@@ -43,11 +48,16 @@ POOL_CAP = 10
 
 
 class KadNode:
-    """One participant: id, bucket state, and contact bookkeeping."""
+    """One participant: its id and its contacts.
+
+    sorted_contacts lists every contact id in ascending order and
+    last_seen maps each one to its last activity serial.  Buckets are
+    runs of sorted_contacts (see bucket), so nothing else needs to be
+    kept in step.
+    """
 
     def __init__(self, nid):
         self.id = nid
-        self.buckets = {}     # shared-prefix length -> list of contact ids
         self.last_seen = {}   # contact id -> monotonic activity serial
         self.sorted_contacts = []
 
@@ -55,21 +65,22 @@ class KadNode:
         return self.sorted_contacts
 
     def knows(self, nid):
-        i = bisect_left(self.sorted_contacts, nid)
-        return (i < len(self.sorted_contacts)
-                and self.sorted_contacts[i] == nid)
+        return nid in self.last_seen
 
-    def drop(self, nid, bits):
+    def bucket(self, j, bits):
+        """The contacts sharing exactly j leading bits with this node:
+        the aligned id block that differs from its id first at bit j."""
+        width = 1 << (bits - j - 1)
+        lo = (self.id ^ width) & ~(width - 1)
+        contacts = self.sorted_contacts
+        i = bisect_left(contacts, lo)
+        return contacts[i:bisect_left(contacts, lo + width, i)]
+
+    def drop(self, nid):
         """Remove a contact observed to be gone."""
-        j = shared_prefix_bits(self.id, nid, bits)
-        bucket = self.buckets.get(j)
-        if bucket and nid in bucket:
-            bucket.remove(nid)
-        self.last_seen.pop(nid, None)
-        i = bisect_left(self.sorted_contacts, nid)
-        if (i < len(self.sorted_contacts)
-                and self.sorted_contacts[i] == nid):
-            del self.sorted_contacts[i]
+        if nid in self.last_seen:
+            del self.last_seen[nid]
+            del self.sorted_contacts[bisect_left(self.sorted_contacts, nid)]
 
 
 class LookupGraph:
@@ -106,20 +117,21 @@ class KadNetwork:
     """Live overlay state: nodes, colluder set, per-node reputation."""
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
-                 k=DEFAULT_K, alpha=DEFAULT_ALPHA, beta=DEFAULT_BETA,
-                 replica_count=DEFAULT_REPLICAS,
-                 tolerance_bits=DEFAULT_TOLERANCE_BITS, bootstrap=None):
+                 k=DEFAULT_K, replica_count=DEFAULT_REPLICAS,
+                 tolerance_bits=DEFAULT_TOLERANCE_BITS):
         if n < 2:
             raise ValueError("need at least two nodes")
         if not 0.0 <= colluding < 1.0:
             raise ValueError("colluding fraction outside [0, 1)")
+        if k < 1:
+            raise ValueError("need a bucket size of at least one")
         if replica_count < 1:
             raise ValueError("need at least one replica root")
+        if not 0 <= tolerance_bits <= bits:
+            raise ValueError("tolerance_bits outside [0, bits]")
         self.bits = bits
         self.space = 1 << bits
         self.k = k
-        self.alpha = alpha
-        self.beta = beta
         self.replica_count = replica_count
         self.tolerance_bits = tolerance_bits
         self.rng = random.Random(seed)
@@ -133,8 +145,7 @@ class KadNetwork:
             v: ReputationStore(seed=self.rng.randrange(1 << 30))
             for v in ids if v not in self.malicious
         }
-        self.bootstrap = (max(1, (n - 1).bit_length())
-                          if bootstrap is None else bootstrap)
+        self.bootstrap = max(1, (n - 1).bit_length())
         self._used_ids = set(ids)
         self.serial = 0
         self.clock = 0
@@ -148,8 +159,6 @@ class KadNetwork:
         from.  Nobody learns of the node here; that happens when it
         looks up its own id (see _self_lookup)."""
         others = [u for u in self.ids if u != v]
-        if not others:
-            return
         node = self.nodes[v]
         for u in self.rng.sample(others, min(self.bootstrap, len(others))):
             bucket_insert(self, node, u)
@@ -161,7 +170,7 @@ class KadNetwork:
         neighbourhood learns it.  A protocol step rather than a scored
         lookup: it records no scores, takes no attack serial, and
         colluders perform it too."""
-        _iterate(self, v, v, "regular", False, None, self.replica_roots(v))
+        _iterate(self, v, v, "regular", False, self.replica_roots(v))
 
     def is_malicious(self, nid):
         return nid in self.malicious
@@ -262,24 +271,15 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
     """
     if candidate == node.id:
         raise ValueError("node cannot bucket itself")
-    if not active:
-        if node.knows(candidate):
-            return
-        j = shared_prefix_bits(node.id, candidate, net.bits)
-        bucket = node.buckets.setdefault(j, [])
-        if len(bucket) >= net.k:
-            return
-        bucket.append(candidate)
-        node.last_seen[candidate] = net.tick()
-        insort(node.sorted_contacts, candidate)
-        return
-    now = net.tick()
     if node.knows(candidate):
-        node.last_seen[candidate] = now
+        if active:
+            node.last_seen[candidate] = net.tick()
         return
-    j = shared_prefix_bits(node.id, candidate, net.bits)
-    bucket = node.buckets.setdefault(j, [])
+    bucket = node.bucket(shared_prefix_bits(node.id, candidate, net.bits),
+                         net.bits)
     if len(bucket) >= net.k:
+        if not active:
+            return
         if reds and node.id not in net.malicious:
             counts = net.stores[node.id].counts
             worst = min(bucket,
@@ -287,12 +287,8 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
                                        node.last_seen[u]))
         else:
             worst = min(bucket, key=lambda u: node.last_seen[u])
-        bucket.remove(worst)
-        node.last_seen.pop(worst, None)
-        i = bisect_left(node.sorted_contacts, worst)
-        del node.sorted_contacts[i]
-    bucket.append(candidate)
-    node.last_seen[candidate] = now
+        node.drop(worst)
+    node.last_seen[candidate] = net.tick()
     insort(node.sorted_contacts, candidate)
 
 
@@ -329,80 +325,63 @@ def credit_reputation(q, graph, closest_root):
     return credited
 
 
-def _respond(net, v, key, attacked, mode, truth):
-    """Contacts v returns for key, whose true root is truth (or None).
+def _answer(net, v, key, attacked, mode, roots, truth):
+    """v's reply to a query for key: the contacts it returns and the id
+    it nominates as final answer, or None.  roots holds key's replica
+    roots and truth the closest of them (or None).
 
-    Honest nodes normally answer with the closest contacts they know;
-    under collaborative boosting they answer with the contacts they
-    trust most among those sitting closer to the key than themselves,
-    so the reply still makes progress but favors proven contacts over
-    merely near ones.
-    Colluders pollute: whether or not the
-    lookup is under attack they answer with the fellow colluders
-    closest to the key, drawn from those at least one bit closer to it
-    than themselves (anything farther would be ignored).  Only when no
-    colluder can make progress does a non-attacking colluder hand over
-    the true closest replica root, protecting its reputation.
+    Replica roots identify themselves when queried.  Honest nodes
+    normally return the closest contacts they know; under
+    collaborative boosting they return the contacts they trust most
+    among those sitting closer to the key than themselves, so the reply
+    still makes progress but favors proven contacts over merely near
+    ones.
+
+    Colluders pollute: whether or not the lookup is under attack they
+    return the fellow colluders closest to the key, drawn from those at
+    least one bit closer to it than themselves (anything farther would
+    be ignored), and an attacked colluder nominates the colluder
+    closest to the key.  Only when no colluder can make progress does a
+    non-attacking colluder hand over the true root, returning and
+    nominating it when it knows it, which protects its reputation.
     """
     node = net.nodes[v]
-    beta = net.beta
+    own = v if v in roots else None
     if v in net.malicious:
         floor = shared_prefix_bits(v, key, net.bits) + 1
         closer = [m for m in net.colluders_within(key, floor) if m != v]
         if closer:
             closer.sort(key=lambda m: xor_distance(m, key))
             pool = closer[:POOL_CAP]
-            if len(pool) <= beta:
-                return pool
-            return net.rng.sample(pool, beta)
+            if len(pool) > BETA:
+                pool = net.rng.sample(pool, BETA)
+            # the colluder closest to the key is the nearest closer one
+            return pool, closer[0] if attacked else own
         if attacked:
-            return net.closest_colluders(key, beta)
-        out = []
+            returned = net.closest_colluders(key, BETA)
+            return returned, returned[0]
         if truth is not None and node.knows(truth):
-            out.append(truth)
-        for u in xor_closest(node.sorted_contacts, key, beta):
-            if u not in out:
-                out.append(u)
-        return out[:beta]
+            near = xor_closest(node.sorted_contacts, key, BETA)
+            return [truth] + [u for u in near if u != truth][:BETA - 1], truth
+        return xor_closest(node.sorted_contacts, key, BETA), own
     if mode == "collaborative":
-        own = xor_distance(v, key)
+        dist = xor_distance(v, key)
         closer = [u for u in node.sorted_contacts
-                  if xor_distance(u, key) < own]
+                  if xor_distance(u, key) < dist]
         store = net.stores[v]
         closer.sort(key=lambda u: (-store.score(u),
                                    xor_distance(u, key)))
-        return closer[:beta]
-    return xor_closest(node.sorted_contacts, key, beta)
+        return closer[:BETA], own
+    return xor_closest(node.sorted_contacts, key, BETA), own
 
 
-def _nominate(net, v, key, attacked, roots, truth):
-    """The id v offers the querier as final answer, or None.  roots
-    holds key's replica roots and truth the closest of them.
-
-    Replica roots identify themselves when queried.  An attacked
-    colluder instead names the colluder closest to the key.  A
-    colluder not attacking this lookup names the true root if it has
-    run out of closer colluders to pollute with, provided it actually
-    knows that root.
-    """
-    if net.is_malicious(v):
-        if attacked:
-            return net.closest_colluders(key, 1)[0]
-        floor = shared_prefix_bits(v, key, net.bits) + 1
-        if any(m != v for m in net.colluders_within(key, floor)):
-            return v if v in roots else None
-        if truth is not None and net.nodes[v].knows(truth):
-            return truth
-    return v if v in roots else None
-
-
-def _iterate(net, q, key, mode, attacked, store, roots):
+def _iterate(net, q, key, mode, attacked, roots):
     """Core of the iterative search: returns graph, nominations,
     queried, dead, and step count.  roots lists key's replica roots,
     nearest first, as replica_roots gives them.
 
     Keeps a shortlist of the net.k closest contacts heard of, querying
-    the net.alpha best unqueried entries each step: closest-first
+    the ALPHA best unqueried entries each step: closest-first
     normally, or by q's own scores in the reputation modes.  The search
     ends when the net.k closest live entries have all been queried.
     Contacts observed dead are purged from the shortlist, q's buckets,
@@ -415,7 +394,8 @@ def _iterate(net, q, key, mode, attacked, store, roots):
     truth = roots[0] if roots else None
     roots = set(roots)
     node_q = net.nodes[q]
-    reds = mode in REPUTED_MODES and store is not None
+    store = net.stores.get(q)
+    reds = mode in REPUTED_MODES
     graph = LookupGraph(q)
     dist = {}
     shortlist = []    # (xor distance to key, id), insort-maintained
@@ -441,18 +421,18 @@ def _iterate(net, q, key, mode, attacked, store, roots):
             break
         if reds:
             batch.sort(key=lambda u: (-store.score(u), dist[u]))
-        for v in batch[:net.alpha]:
+        for v in batch[:ALPHA]:
             queried.add(v)
             if v not in net.nodes:
                 # observed departure: forget the contact everywhere
                 dead.add(v)
-                node_q.drop(v, net.bits)
+                node_q.drop(v)
                 if store is not None:
                     store.forget(v)
                 continue
-            returned = [u for u in _respond(net, v, key, attacked, mode,
-                                            truth) if u != q]
-            answer = _nominate(net, v, key, attacked, roots, truth)
+            returned, answer = _answer(net, v, key, attacked, mode, roots,
+                                       truth)
+            returned = [u for u in returned if u != q]
             if answer is not None:
                 nominated.add(answer)
                 if answer not in returned and answer not in (v, q):
@@ -492,7 +472,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
     graph, nominated, queried, dead, step = _iterate(
-        net, q, key, mode, attacked, store, roots)
+        net, q, key, mode, attacked, roots)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
     success = closest_root is not None and closest_root == truth
@@ -505,7 +485,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
             if u not in dead:
                 store.record(u, u in credited)
         for u in credited:
-            if u != q and u not in queried and u not in dead:
+            if u not in queried and u not in dead:
                 store.record(u, True)
     return KadLookupOutcome(key, frozenset(u for u in nominated if u in roots),
                             closest_root, success, graph, step, queried)
@@ -520,8 +500,7 @@ def warmup(net, lookups_per_node, policy=None, seed=0):
         order = net.honest_nodes()
         rng.shuffle(order)
         for q in order:
-            if q in net.stores:
-                kad_lookup(net, q, net.random_key(rng), policy=policy)
+            kad_lookup(net, q, net.random_key(rng), policy=policy)
 
 
 def pollution_fraction(net):
@@ -530,7 +509,6 @@ def pollution_fraction(net):
     for v, node in net.nodes.items():
         if v in net.malicious:
             continue
-        for bucket in node.buckets.values():
-            total += len(bucket)
-            bad += sum(1 for u in bucket if u in net.malicious)
+        total += len(node.sorted_contacts)
+        bad += sum(1 for u in node.sorted_contacts if u in net.malicious)
     return bad / total if total else 0.0

@@ -129,6 +129,29 @@ def test_ring_successors_order_and_exclusion():
         assert succ == expect
 
 
+def test_ring_interval_against_brute_force():
+    """interval(lo, hi) lists the ids in the clockwise-open (lo, hi],
+    clockwise from lo, ends of the id space included."""
+    rng = random.Random(8)
+    bits = 6
+    space = 1 << bits
+    for _ in range(300):
+        ids = sample_ids(rng.randint(1, 20), rng, bits)
+        ring = Ring(ids, bits)
+        ends = [rng.randrange(space) for _ in range(4)] + [0, space - 1]
+        ends += ids[:2]
+        for lo in ends:
+            for hi in ends:
+                want = sorted((v for v in ids
+                               if 0 < (v - lo) % space <= (hi - lo) % space),
+                              key=lambda v: (v - lo) % space)
+                assert ring.interval(lo, hi) == want
+    ring = Ring([5, 10, 15], bits=4)
+    assert ring.interval(3, 15) == [5, 10, 15]
+    assert ring.interval(12, 7) == [15, 5]
+    assert ring.interval(10, 10) == []
+
+
 def test_ring_membership_add_remove():
     ring = Ring([4, 9, 200], bits=8)
     assert 9 in ring and 5 not in ring

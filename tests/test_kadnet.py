@@ -5,6 +5,7 @@ import pytest
 from dhtsim.adversary import AttackPolicy
 from dhtsim.idspace import shared_prefix_bits, xor_distance
 from dhtsim.kadnet import (
+    BETA,
     MODES,
     KadNetwork,
     LookupGraph,
@@ -113,7 +114,6 @@ class TestBuckets:
     def blank(self, net):
         nid = net.honest_nodes()[0]
         node = net.nodes[nid]
-        node.buckets.clear()
         node.last_seen.clear()
         node.sorted_contacts = []
         return node
@@ -128,7 +128,7 @@ class TestBuckets:
         for j in (0, 3, 9, 20):
             cand = self.peer(node, j)
             bucket_insert(net, node, cand)
-            assert cand in node.buckets[j]
+            assert cand in node.bucket(j, net.bits)
             assert shared_prefix_bits(node.id, cand) == j
 
     def test_self_insert_rejected(self):
@@ -144,7 +144,7 @@ class TestBuckets:
         bucket_insert(net, node, cand)
         first_seen = node.last_seen[cand]
         bucket_insert(net, node, cand)
-        assert node.buckets[4].count(cand) == 1
+        assert node.bucket(4, net.bits).count(cand) == 1
         assert node.last_seen[cand] > first_seen
 
     def test_regular_eviction_drops_least_seen(self):
@@ -156,7 +156,7 @@ class TestBuckets:
         bucket_insert(net, node, a)        # refresh a: b is now stalest
         d = self.peer(node, 2, 4)
         bucket_insert(net, node, d)
-        assert sorted(node.buckets[2]) == sorted([a, c, d])
+        assert node.bucket(2, net.bits) == sorted([a, c, d])
 
     def test_reputed_eviction_drops_lowest_score_then_least_seen(self):
         net = self.make_net()
@@ -170,7 +170,7 @@ class TestBuckets:
         # scores tie at 3 hits for b and c; b was seen earlier
         d = self.peer(node, 2, 4)
         bucket_insert(net, node, d, reds=True)
-        assert sorted(node.buckets[2]) == sorted([a, c, d])
+        assert node.bucket(2, net.bits) == sorted([a, c, d])
 
     def test_nonfull_bucket_appends(self):
         net = self.make_net()
@@ -178,17 +178,22 @@ class TestBuckets:
         a, b = self.peer(node, 5, 1), self.peer(node, 5, 2)
         bucket_insert(net, node, a)
         bucket_insert(net, node, b)
-        assert node.buckets[5] == [a, b]
+        assert node.bucket(5, net.bits) == sorted([a, b])
 
     def test_prefix_invariant_property(self):
         """Every bucket entry of every node shares exactly the bucket's
-        index in leading bits, nowhere exceeding k entries."""
+        index in leading bits, nowhere exceeding k entries, and each
+        bucket is exactly the node's contacts with that shared prefix."""
         net = build_kad(300, colluding=0.15, seed=7)
         warmup(net, 2, policy=AttackPolicy(1.0, seed=1), seed=7)
         checked = 0
         for nid, node in net.nodes.items():
+            assert sorted(node.last_seen) == node.sorted_contacts
             all_entries = []
-            for j, bucket in node.buckets.items():
+            for j in range(net.bits):
+                bucket = node.bucket(j, net.bits)
+                assert bucket == [u for u in node.sorted_contacts
+                                  if shared_prefix_bits(nid, u) == j]
                 assert len(bucket) <= net.k
                 for u in bucket:
                     assert shared_prefix_bits(nid, u) == j
@@ -226,6 +231,17 @@ class TestReplicaRoots:
             build_kad(10, colluding=1.0)
         with pytest.raises(ValueError):
             build_kad(10, replica_count=0)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                build_kad(10, k=k)
+        for tol in (-1, 33, 40):
+            with pytest.raises(ValueError):
+                build_kad(50, tolerance_bits=tol)
+        with pytest.raises(ValueError):
+            build_kad(10, bits=8, tolerance_bits=9)
+        # the ends of both ranges are accepted
+        build_kad(10, k=1, tolerance_bits=0)
+        build_kad(10, bits=8, tolerance_bits=8)
 
 
 class TestLookup:
@@ -271,7 +287,7 @@ class TestLookup:
     def test_colluder_answers_are_closer_colluders(self):
         """Attacked or not, a colluder with closer colluders available
         answers with a selection of them and nothing else."""
-        from dhtsim.kadnet import _respond
+        from dhtsim.kadnet import _answer
         net = build_kad(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(3)
@@ -280,39 +296,41 @@ class TestLookup:
             for _ in range(200):
                 key = net.random_key(rng)
                 v = rng.choice(net.colluders)
-                ret = _respond(net, v, key, attacked, "regular",
-                               net.truth_root(key))
-                assert len(ret) <= net.beta
+                ret, _ = _answer(net, v, key, attacked, "regular",
+                                 set(net.replica_roots(key)),
+                                 net.truth_root(key))
+                assert len(ret) <= BETA
                 floor = shared_prefix_bits(v, key) + 1
                 closer = [m for m in net.colluders_within(key, floor)
                           if m != v]
                 if closer:
                     assert set(ret) <= set(closer)
-                    assert len(ret) == min(net.beta, len(closer))
+                    assert len(ret) == min(BETA, len(closer))
                     polluted += 1
                 elif attacked:
-                    assert ret == net.closest_colluders(key, net.beta)
+                    assert ret == net.closest_colluders(key, BETA)
         assert polluted > 100
 
     def test_colluder_spreads_distinct_ids(self):
         """Responses sample among the qualifying colluders rather than
         repeating the same few ids."""
-        from dhtsim.kadnet import _respond
+        from dhtsim.kadnet import _answer
         net = build_kad(400, colluding=0.3, seed=9)
         rng = random.Random(6)
         key = net.random_key(rng)
         v = max(net.colluders,
                 key=lambda u: xor_distance(u, key))
+        roots = set(net.replica_roots(key))
         seen = set()
         for _ in range(200):
-            seen.update(_respond(net, v, key, True, "regular",
-                                 net.truth_root(key)))
-        assert len(seen) > 2 * net.beta
+            seen.update(_answer(net, v, key, True, "regular", roots,
+                                net.truth_root(key))[0])
+        assert len(seen) > 2 * BETA
 
     def test_cornered_colluder_hands_over_known_truth(self):
         """A colluder with no closer colluders to offer returns the
         true root when it knows it, keeping its reputation intact."""
-        from dhtsim.kadnet import _nominate, _respond
+        from dhtsim.kadnet import _answer
         net = build_kad(300, colluding=0.3, seed=9)
         warmup(net, 3, seed=9)
         rng = random.Random(11)
@@ -324,9 +342,10 @@ class TestLookup:
             if v == truth or not net.nodes[v].knows(truth):
                 continue
             roots = set(net.replica_roots(key))
-            assert _nominate(net, v, key, False, roots, truth) == truth
-            assert _respond(net, v, key, False, "regular",
-                            truth)[0] == truth
+            returned, nominee = _answer(net, v, key, False, "regular",
+                                        roots, truth)
+            assert nominee == truth
+            assert returned[0] == truth
             handed += 1
         assert handed > 20
 
@@ -393,7 +412,8 @@ class TestLookup:
         def run():
             net = build_kad(120, colluding=0.2, seed=16)
             warmup(net, 2, policy=AttackPolicy(0.5, seed=3), seed=16)
-            tables = {v: dict(node.buckets) for v, node in net.nodes.items()}
+            tables = {v: (dict(node.last_seen), list(node.sorted_contacts))
+                      for v, node in net.nodes.items()}
             rng = random.Random(4)
             hon = net.honest_nodes()
             outcomes = [(o.closest_root, o.success, o.steps)
@@ -425,6 +445,32 @@ class TestLookup:
             kad_lookup(net, q, key, mode=MODES[i % 3], policy=policy)
             assert calls == [key]
 
+    def test_colluder_query_finds_closer_colluders_once(self, monkeypatch):
+        """A colluder answering a query, attacked or not, lists its
+        closer colluders once for both its reply and its nomination."""
+        net = build_kad(300, colluding=0.3, seed=9)
+        warmup(net, 2, seed=9)
+        rng = random.Random(5)
+        hon = net.honest_nodes()
+        cases = [(rng.choice(hon), net.random_key(rng)) for _ in range(60)]
+        calls = []
+        real = KadNetwork.colluders_within
+
+        def counted(self, key, floor_bits):
+            calls.append(key)
+            return real(self, key, floor_bits)
+
+        monkeypatch.setattr(KadNetwork, "colluders_within", counted)
+        asked = {True: 0, False: 0}
+        for i, (q, key) in enumerate(cases):
+            policy = AttackPolicy(1.0 if i % 2 else 0.0, seed=1)
+            del calls[:]
+            out = kad_lookup(net, q, key, mode=MODES[i % 3], policy=policy)
+            colluders = sum(1 for u in out.queried if net.is_malicious(u))
+            assert len(calls) <= colluders
+            asked[bool(i % 2)] += colluders
+        assert asked[True] > 0 and asked[False] > 0
+
 
 class TestPollution:
     def test_clean_network_has_zero_pollution(self):
@@ -444,7 +490,6 @@ class TestPollution:
         for v, node in net.nodes.items():
             if net.is_malicious(v):
                 continue
-            node.buckets.clear()
             node.last_seen.clear()
             node.sorted_contacts = []
             for u in bad[:3]:
