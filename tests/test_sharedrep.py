@@ -1,5 +1,8 @@
+import copy
 import random
 import statistics
+import weakref
+from functools import lru_cache
 from math import comb
 from types import SimpleNamespace
 
@@ -7,6 +10,7 @@ import pytest
 
 from dhtsim.adversary import AttackPolicy
 from dhtsim.halonet import build_halo, halo_lookup, knuckles
+from dhtsim import sharedrep
 from dhtsim.idspace import Ring
 from dhtsim.sharedrep import (
     ScoringBin,
@@ -379,3 +383,111 @@ def test_churn_leaves_no_departed_id_behind():
             assert all(departed.isdisjoint(t) for t in ex.reports.values())
             assert all(departed.isdisjoint(key) for key in ex.last_sent)
     assert counted > 20 and tied > 20 and stale > 20
+
+
+class PerRequestExchange(SharedExchange):
+    """The exchange forging one report per request in holder order, each
+    cache miss searching its grid from scratch: the oracle for the
+    grouped forging in SharedExchange.run_epoch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.forged_report = lru_cache(maxsize=65536)(adversarial_report)
+
+    def run_epoch(self):
+        net = self.net
+        holders = self.finger_holders()
+        self._prune(holders)
+        sent = 0
+        for f, hs in holders.items():
+            honest = [u for u in hs if u in net.stores]
+            if not honest:
+                continue
+            table = self.reports.setdefault(f, {})
+            for k in honest:
+                r = net.first_hand_score(k, f)
+                if self.last_sent.get((k, f)) != r:
+                    self.last_sent[(k, f)] = r
+                    table[k] = r
+                    sent += 1
+            n_bad = len(hs) - len(honest)
+            goal = 1.0 if net.is_malicious(f) else 0.0
+            for j in honest:
+                own = net.first_hand_score(j, f)
+                received = [v for s, v in table.items() if s != j]
+                if self.adversarial and n_bad:
+                    truth = statistics.fmean(received) if received else own
+                    forged = self.forged_report(self.method, round(own, 2),
+                                                round(truth, 2), goal,
+                                                len(received), n_bad)
+                    received = received + [forged] * n_bad
+                net.score_overrides.setdefault(j, {})[f] = aggregate(
+                    self.method, own, received, self.rng)
+        return sent
+
+
+def _shared_churn_epochs(exchange_cls, seed, epochs=5):
+    """Shared-mode lookups with churn and an adversarial drop-off epoch
+    after each batch; per epoch, the broadcasts, overrides and cache."""
+    net = build_halo(150, 0.2, seed=seed)
+    policy = AttackPolicy(1.0, seed=seed)
+    ex = exchange_cls(net, "dropoff", seed=seed)
+    rng = random.Random(seed)
+    trail = []
+    for _ in range(epochs):
+        for i in range(1, 121):
+            origin = rng.choice(net.honest_nodes())
+            halo_lookup(net, origin, rng.randrange(net.space), mode="shared",
+                        policy=policy, record=True)
+            if i % 20 == 0:
+                gone = rng.choice(net.ring.ids)
+                was_bad = net.is_malicious(gone)
+                net.leave(gone)
+                net.join(malicious=was_bad)
+        sent = ex.run_epoch()
+        trail.append((sent, copy.deepcopy(net.score_overrides),
+                      ex.forged_report.cache_info()))
+    return trail
+
+
+def test_grouped_forging_matches_per_request_oracle():
+    """Forging grouped by colluder count and own score installs the same
+    overrides, bit for bit, and reads the same report cache, as forging
+    each request in holder order."""
+    grouped = _shared_churn_epochs(SharedExchange, 17)
+    oracle = _shared_churn_epochs(PerRequestExchange, 17)
+    assert grouped == oracle
+    info = grouped[-1][2]
+    assert info.hits > 0 and info.misses > 0
+
+
+def test_one_group_of_colluder_columns_alive_at_a_time(monkeypatch):
+    alive = weakref.WeakSet()
+    built = []
+
+    class Tracked(sharedrep._Colluders):
+        def __init__(self, n_m, r_k, R):
+            # the previous group's columns are gone before these are built
+            assert not alive
+            super().__init__(n_m, r_k, R)
+            alive.add(self)
+            built.append((n_m, r_k))
+
+    monkeypatch.setattr(sharedrep, "_Colluders", Tracked)
+    net = build_halo(150, 0.2, seed=23)
+    policy = AttackPolicy(1.0, seed=23)
+    ex = SharedExchange(net, "dropoff", seed=23)
+    rng = random.Random(23)
+    builds = 0
+    for _ in range(3):
+        for origin in net.honest_nodes():
+            halo_lookup(net, origin, rng.randrange(net.space), mode="shared",
+                        policy=policy, record=True)
+        del built[:]
+        ex.run_epoch()
+        assert not alive
+        # each group's columns were built once in the epoch
+        assert built and len(set(built)) == len(built)
+        builds += len(built)
+    # and misses sharing a group shared its columns
+    assert builds < ex.forged_report.cache_info().misses
