@@ -115,15 +115,3 @@ def use_based_targets(ring, attacker, m):
         if cand != attacker and cand not in victims:
             victims.append(cand)
     return victims
-
-
-def expected_use_based_attacked(lookups, m):
-    """Expected lookups exposed when the top-m use fingers misbehave.
-
-    The heaviest finger carries half of all lookups through a node, the
-    next a quarter, and so on, so m corrupted fingers cover a
-    1 - 2**-m fraction.
-    """
-    if m < 0:
-        raise ValueError("negative m")
-    return lookups * (1.0 - 0.5 ** m)

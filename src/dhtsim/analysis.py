@@ -60,16 +60,17 @@ def simulate_oscillation(model, strategy, rng=None):
 
     The loop is specialised to its two scores.  s_h**beta, the strategy's
     decide and 1 - alpha are computed once; each step does the rest
-    inline, in the same order as selection_prob and ewma_update, so
-    every float matches a run through those helpers bit for bit.  Their
+    inline, in the same order as the general selection-probability and
+    EWMA rules, so every float matches tests/test_analysis.py's
+    old_loop, which runs through those rules, bit for bit.  The rules'
     argument checks are not repeated because they cannot fail here: the
     model holds alpha in [0, 1], beta finite and non-negative and s0,
     s_h in (0, 1], and with Pr[A] and p in [0, 1] each step moves s to
     a mix of s and values in [0, 1], so s never goes negative and
     s_h > 0 keeps the pair from being all zero.  (Should both weights
-    underflow to zero, the division raises ZeroDivisionError, as
-    selection_prob's did.)  The one check that stays is the strategy's:
-    a p outside [0, 1] raises ValueError.
+    underflow to zero, the division raises ZeroDivisionError.)  The one
+    check that stays is the strategy's: a p outside [0, 1] raises
+    ValueError.
     """
     beta = model.beta_bias
     w_h = model.s_h ** beta
@@ -95,11 +96,6 @@ def simulate_oscillation(model, strategy, rng=None):
             total += attacked
             s = alpha * (0.0 if attacked else 1.0) + keep * s
     return total, trajectory
-
-
-def attacked_fraction(model, strategy, rng=None):
-    total, _ = simulate_oscillation(model, strategy, rng)
-    return total / model.lookups
 
 
 def sweep(strategy_family, grid, model):

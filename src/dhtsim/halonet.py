@@ -18,16 +18,16 @@ Chord accepts the first member this lookup has not contacted yet; ReDS
 accepts the best-scored member when it scores at least JOIN_SCORE.
 Only the picker differs between the two.
 
-Stores hold first-hand counts only: the join order of late nodes, from
-which first_hand_score derives the join prior, is kept on the network.
+Membership (ids, colluders, stores, join, leave and the attack coin)
+is the shared core in overlay.Overlay.  Stores hold first-hand counts
+only: the join order of late nodes, from which first_hand_score derives
+the join prior, is kept on the network.
 """
 
-import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 
-from .idspace import (DEFAULT_BITS, Ring, clockwise_closest, ring_distance,
-                      sample_ids)
-from .reputation import ReputationStore
+from .idspace import DEFAULT_BITS, clockwise_closest, ring_distance
+from .overlay import Overlay
 
 REDUNDANCY = 10
 BUCKET_SIZE = 2
@@ -97,45 +97,25 @@ class LookupOutcome:
         return sum(s.contacts for s in self.subsearches)
 
 
-class HaloNetwork:
-    """Live ring state: node ids, colluder set, per-node reputation."""
+class HaloNetwork(Overlay):
+    """Live ring state: the Overlay membership plus the join order of
+    late nodes and the shared scores an exchange installs."""
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
                  redundancy=None):
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
-        if not 0.0 <= colluding < 1.0:
-            raise ValueError("colluding fraction outside [0, 1)")
         if redundancy is None:
             redundancy = min(REDUNDANCY, bits)   # one subsearch per offset
         if not 1 <= redundancy <= bits:
             raise ValueError("redundancy outside [1, bits]")
-        self.bits = bits
-        self.space = 1 << bits
+        super().__init__(n, colluding, seed, bits)
         self.bucket_size = bucket_size
         self.successor_count = successor_count
         self.redundancy = redundancy
-        self.rng = random.Random(seed)
-        ids = sample_ids(n, self.rng, bits)
-        self.ring = Ring(ids, bits)
-        bad = self.rng.sample(ids, int(colluding * n))
-        self.malicious = set(bad)
-        self.colluders = sorted(bad)
-        self.stores = {
-            v: ReputationStore(seed=self.rng.randrange(1 << 30))
-            for v in ids if v not in self.malicious
-        }
         self.score_overrides = {}   # node -> {contact -> shared score}
         self.joined = {}            # live late joiner -> join order
-        self._used_ids = set(ids)
-        self.serial = 0
-
-    def is_malicious(self, nid):
-        return nid in self.malicious
-
-    def honest_nodes(self):
-        return list(self.stores)
 
     def closest_colluder(self, target):
         """First colluder at or after target, wrapping."""
@@ -175,44 +155,23 @@ class HaloNetwork:
         return self.first_hand_score(nid, contact)
 
     def leave(self, nid):
-        self.ring.remove(nid)
+        super().leave(nid)
         self.joined.pop(nid, None)
-        if nid in self.malicious:
-            self.malicious.discard(nid)
-            i = bisect_left(self.colluders, nid)
-            del self.colluders[i]
-        else:
-            self.stores.pop(nid, None)
-            self.score_overrides.pop(nid, None)
+        self.score_overrides.pop(nid, None)
         # ids are never reused, so no store reads nid's counter again
         for store in self.stores.values():
             store.forget(nid)
 
     def join(self, malicious=False):
-        """Add one node under a fresh uniform id, never reusing an id.
+        """Add one node under a fresh id (see Overlay.join).
 
         Its join order is recorded, so nodes already live score it from
         the low JOIN_SCORE and a white-washing rejoin starts below any
         established track record.
         """
-        while True:
-            nid = self.rng.randrange(self.space)
-            if nid not in self._used_ids:
-                break
-        self._used_ids.add(nid)
+        nid = super().join(malicious)
         self.joined[nid] = len(self._used_ids)   # grows with every join
-        self.ring.add(nid)
-        if malicious:
-            self.malicious.add(nid)
-            insort(self.colluders, nid)
-        else:
-            self.stores[nid] = ReputationStore(
-                seed=self.rng.randrange(1 << 30))
         return nid
-
-
-def build_halo(n, colluding=0.0, seed=0, **kwargs):
-    return HaloNetwork(n, colluding, seed, **kwargs)
 
 
 def knuckle_interval(net, target, offset):
@@ -391,12 +350,7 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
-    if origin not in net.stores:
-        raise ValueError("lookup origin %r is not a live honest node"
-                         % (origin,))
-    serial = net.serial
-    net.serial += 1
-    attacked = bool(policy.should_attack(serial)) if policy is not None else False
+    attacked = net.attack_coin(origin, policy)
     subs = []
     contacted = set()
     for k in range(net.redundancy):

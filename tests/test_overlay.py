@@ -1,0 +1,71 @@
+"""The membership core both overlays share: the same draws for the same
+seed, churn bookkeeping, and the per-lookup attack coin."""
+
+import random
+
+import pytest
+
+from dhtsim.adversary import AttackPolicy
+from dhtsim.halonet import HaloNetwork
+from dhtsim.kadnet import KadNetwork
+
+OVERLAYS = pytest.mark.parametrize("overlay", [HaloNetwork, KadNetwork],
+                                   ids=["halo", "kad"])
+
+
+def test_both_overlays_draw_members_alike():
+    halo = HaloNetwork(100, 0.2, seed=3)
+    kad = KadNetwork(100, 0.2, seed=3)
+    assert halo.ring.ids == kad.ids
+    assert halo.colluders == kad.colluders
+    assert halo.honest_nodes() == kad.honest_nodes()
+    assert halo.stores.keys() == kad.stores.keys()
+    for v, store in halo.stores.items():
+        assert store._rng.getstate() == kad.stores[v]._rng.getstate()
+
+
+@OVERLAYS
+def test_churn_ops_and_fresh_ids(overlay):
+    net = overlay(100, colluding=0.2, seed=32)
+    seen = set(net.ring.ids)
+    rng = random.Random(33)
+    for _ in range(200):
+        nid = rng.choice(net.ring.ids)
+        was_bad = nid in net.malicious
+        net.leave(nid)
+        assert nid not in net.ring
+        if was_bad:
+            assert nid not in net.malicious and nid not in net.colluders
+        new = net.join(malicious=rng.random() < 0.2)
+        assert new not in seen
+        seen.add(new)
+        assert (new in net.malicious) == (new in set(net.colluders))
+        live = set(net.ring.ids)
+        assert net.colluders == sorted(net.malicious)
+        assert set(net.stores) == live - net.malicious
+        if overlay is KadNetwork:
+            assert net.ids is net.ring.ids
+            assert set(net.nodes) == live
+    assert len(net.ring) == 100
+    if overlay is HaloNetwork:
+        assert net.joined and set(net.joined) <= set(net.ring.ids)
+    # churn with no lookups writes nothing into any store
+    assert all(not store.counts for store in net.stores.values())
+
+
+@OVERLAYS
+def test_attack_coin_takes_one_serial_per_lookup(overlay):
+    net = overlay(50, colluding=0.2, seed=4)
+    policy = AttackPolicy(0.5, seed=9)
+    honest = net.honest_nodes()
+    coins = [net.attack_coin(honest[i % len(honest)], policy)
+             for i in range(100)]
+    assert coins == [policy.should_attack(s) for s in range(100)]
+    assert net.attack_coin(honest[0], None) is False
+    assert net.serial == 101
+    gone = honest[1]
+    net.leave(gone)
+    for origin in (net.colluders[0], gone):
+        with pytest.raises(ValueError):
+            net.attack_coin(origin, policy)
+    assert net.serial == 101

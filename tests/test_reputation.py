@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from dhtsim.reputation import ReputationStore, ewma_update, selection_prob
+from dhtsim.reputation import ReputationStore
+from oracles import ewma_update, selection_prob
 
 
 def test_score_prior_and_counting():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from dhtsim.adversary import AttackPolicy
-from dhtsim.halonet import build_halo, halo_lookup, knuckles
+from dhtsim.halonet import HaloNetwork, halo_lookup, knuckles
 from dhtsim import sharedrep
 from dhtsim.idspace import Ring
 from dhtsim.sharedrep import (
@@ -39,7 +39,7 @@ def test_joint_knuckles_regular_ring():
 
 
 def test_joint_knuckles_matches_bruteforce():
-    net = build_halo(300, seed=4)
+    net = HaloNetwork(300, seed=4)
     # reverse map over every node's full finger table
     holds = {}
     for u in net.ring.ids:
@@ -54,7 +54,7 @@ def test_joint_knuckles_matches_bruteforce():
 
 
 def test_knuckle_count_at_scale():
-    net = build_halo(10000, seed=5)
+    net = HaloNetwork(10000, seed=5)
     rng = random.Random(5)
     counts = [len(knuckles(net, f)) for f in rng.sample(net.ring.ids, 600)]
     assert statistics.fmean(counts) == pytest.approx(13.3, abs=1.5)
@@ -271,7 +271,7 @@ def test_grid_kernel_matches_pointwise_oracle():
 
 
 def test_exchange_broadcasts_only_changes():
-    net = build_halo(200, 0.2, seed=11)
+    net = HaloNetwork(200, 0.2, seed=11)
     policy = AttackPolicy(1.0, seed=11)
     ex = SharedExchange(net, "dropoff", seed=11)
     rng = random.Random(1)
@@ -289,7 +289,7 @@ def test_exchange_broadcasts_only_changes():
 
 
 def test_exchange_installs_clamped_overrides():
-    net = build_halo(150, 0.2, seed=3)
+    net = HaloNetwork(150, 0.2, seed=3)
     policy = AttackPolicy(1.0, seed=3)
     ex = SharedExchange(net, "dropoff", seed=3)
     rng = random.Random(3)
@@ -310,7 +310,7 @@ def test_exchange_installs_clamped_overrides():
 
 
 def test_exchange_survives_churn():
-    net = build_halo(120, 0.2, seed=9)
+    net = HaloNetwork(120, 0.2, seed=9)
     policy = AttackPolicy(1.0, seed=9)
     ex = SharedExchange(net, "dropoff", seed=9)
     rng = random.Random(9)
@@ -330,7 +330,7 @@ def test_exchange_survives_churn():
 
 def test_exchanges_share_no_report_cache():
     def one_epoch():
-        net = build_halo(120, 0.2, seed=5)
+        net = HaloNetwork(120, 0.2, seed=5)
         policy = AttackPolicy(1.0, seed=5)
         ex = SharedExchange(net, "dropoff", seed=5)
         assert ex.forged_report.cache_info().currsize == 0
@@ -354,7 +354,7 @@ def test_churn_leaves_no_departed_id_behind():
     # ids are never reused, so nothing said about a departed node is read
     # again: no store may keep its counter or a tie set naming it, and
     # after the next epoch no exchange report or last-sent key may either
-    net = build_halo(100, 0.2, seed=21)
+    net = HaloNetwork(100, 0.2, seed=21)
     policy = AttackPolicy(1.0, seed=21)
     ex = SharedExchange(net, "dropoff", seed=21)
     rng = random.Random(21)
@@ -429,7 +429,7 @@ class PerRequestExchange(SharedExchange):
 def _shared_churn_epochs(exchange_cls, seed, epochs=5):
     """Shared-mode lookups with churn and an adversarial drop-off epoch
     after each batch; per epoch, the broadcasts, overrides and cache."""
-    net = build_halo(150, 0.2, seed=seed)
+    net = HaloNetwork(150, 0.2, seed=seed)
     policy = AttackPolicy(1.0, seed=seed)
     ex = exchange_cls(net, "dropoff", seed=seed)
     rng = random.Random(seed)
@@ -474,7 +474,7 @@ def test_one_group_of_colluder_columns_alive_at_a_time(monkeypatch):
             built.append((n_m, r_k))
 
     monkeypatch.setattr(sharedrep, "_Colluders", Tracked)
-    net = build_halo(150, 0.2, seed=23)
+    net = HaloNetwork(150, 0.2, seed=23)
     policy = AttackPolicy(1.0, seed=23)
     ex = SharedExchange(net, "dropoff", seed=23)
     rng = random.Random(23)
