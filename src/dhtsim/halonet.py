@@ -9,7 +9,10 @@ owner beats any number of colluder answers, which necessarily sit
 further clockwise.
 
 Routing tables are derived from the live ring on demand, which keeps
-fingers and successor lists exact under churn.  The hop rule: a hop
+fingers and successor lists exact under churn, and are read by index
+from the ring's sorted ids: one bisect finds a node's successor window
+or a finger bucket's canonical finger, and the bucket's other members
+are the ids just before that finger.  The hop rule: a hop
 whose successor list covers the target names the target's predecessor
 directly (_window_covers); any other hop walks its finger buckets
 nearest first, over the members that make progress, and takes the
@@ -26,7 +29,7 @@ the join prior, is kept on the network.
 
 from bisect import bisect_left, bisect_right
 
-from .idspace import DEFAULT_BITS, clockwise_closest, ring_distance
+from .idspace import DEFAULT_BITS, clockwise_closest
 from .overlay import Overlay
 
 REDUNDANCY = 10
@@ -106,6 +109,8 @@ class HaloNetwork(Overlay):
                  redundancy=None):
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
+        if bucket_size < 1:
+            raise ValueError("bucket_size below 1")
         if redundancy is None:
             redundancy = min(REDUNDANCY, bits)   # one subsearch per offset
         if not 1 <= redundancy <= bits:
@@ -123,20 +128,6 @@ class HaloNetwork(Overlay):
             return None
         i = bisect_left(self.colluders, target % self.space)
         return self.colluders[i % len(self.colluders)]
-
-    def finger_bucket(self, nid, offset):
-        """Contacts for offset: the canonical finger and the nodes just
-        before it, bucket_size in all.  Seen from nid they come in
-        falling clockwise distance, best progress first."""
-        canon = self.ring.finger(nid, offset)
-        out = [canon]
-        cur = canon
-        while len(out) < self.bucket_size:
-            cur = self.ring.predecessor(cur)
-            if cur == canon or cur == nid:
-                break
-            out.append(cur)
-        return out
 
     def first_hand_score(self, nid, contact):
         """nid's own score for contact, smoothed toward JOIN_SCORE when
@@ -200,31 +191,46 @@ def knuckles(net, target):
     return out
 
 
-def _window_covers(net, v, d, window):
+def _window_covers(net, v, d):
     """Whether the point d clockwise of live node v lies within v's
-    first window successors (capped at successor_count and the other
-    live nodes), so v can name both its predecessor and owner itself."""
+    successor list (successor_count long, capped at the other live
+    nodes), so v can name both its predecessor and owner itself."""
     ids = net.ring.ids
-    w = min(window, net.successor_count, len(ids) - 1)
+    n = len(ids)
+    w = min(net.successor_count, n - 1)
     if w <= 0:
         return False
-    last = ids[(bisect_right(ids, v) + w - 1) % len(ids)]
-    return d <= ring_distance(v, last, net.bits)
+    last = ids[(bisect_right(ids, v) + w - 1) % n]
+    return d <= (last - v) & (net.space - 1)
 
 
 def _walk_buckets(net, v, target, pick):
     """The bucket walk of the hop rule, from v toward target.
 
-    pick(usable) gets one bucket's members that make progress, best
-    progress first, and returns (candidate, accepted).  v itself comes
-    back when no finger makes progress, meaning v is target's
-    predecessor.
+    Offset i's finger bucket is the canonical finger, the owner of
+    v + 2**i, and the live nodes just before it, bucket_size in all;
+    it ends early at v, or where it would come round to the canonical
+    finger again.  Seen from v its members come in falling clockwise
+    distance, best progress first.  pick(usable) gets one bucket's
+    members that make progress, in that order, and returns (candidate,
+    accepted).  v itself comes back when no finger makes progress,
+    meaning v is target's predecessor.
     """
-    d = ring_distance(v, target, net.bits)
+    ids = net.ring.ids
+    n = len(ids)
+    mask = net.space - 1
+    size = min(net.bucket_size, n)
+    d = (target - v) & mask
     nearest = None
     for i in range(d.bit_length() - 1, -1, -1):
-        usable = [c for c in net.finger_bucket(v, i)
-                  if 0 < ring_distance(v, c, net.bits) < d]
+        j = bisect_left(ids, (v + (1 << i)) & mask) % n
+        usable = []
+        for k in range(j, j - size, -1):   # negative k wraps past zero
+            c = ids[k]
+            if c == v and k != j:
+                break
+            if 0 < (c - v) & mask < d:
+                usable.append(c)
         if not usable:
             continue
         cand, accepted = pick(usable)
@@ -291,23 +297,25 @@ def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
     """
     origin_reputed = mode in REPUTED_MODES
     relay_reputed = mode in ("collaborative", "shared")
+    malicious = net.malicious
+    mask = net.space - 1
     path = []
     cur = origin
     pred = net.ring.predecessor(y)
     for _ in range(2 * net.bits):
-        d = ring_distance(cur, y, net.bits)
-        covered = d > 0 and _window_covers(net, cur, d, net.successor_count)
+        d = (y - cur) & mask
+        covered = d > 0 and _window_covers(net, cur, d)
         if covered:
             nxt = pred
         elif (origin_reputed if cur == origin
-              else relay_reputed and cur not in net.malicious):
+              else relay_reputed and cur not in malicious):
             nxt = reds_next_hop(net, cur, y, avoid=avoid)
         else:
             nxt = chord_next_hop(net, cur, y, avoid=avoid)
         if nxt == cur:
             return cur, path, None, False
         path.append(nxt)
-        if attacked and nxt in net.malicious:
+        if attacked and nxt in malicious:
             kind = "start" if len(path) == 1 else (
                 "knuckle" if nxt == pred else "path")
             return nxt, path, kind, covered
@@ -350,6 +358,8 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
+    if not 0 <= target < net.space:
+        raise ValueError("target outside [0, 2**bits)")
     attacked = net.attack_coin(origin, policy)
     subs = []
     contacted = set()

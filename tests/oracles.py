@@ -22,6 +22,22 @@ def ring_successors(ring, nid, count):
     return out
 
 
+def finger_bucket(net, nid, offset):
+    """Halo's contacts of nid for offset: the canonical finger and the
+    nodes just before it, net.bucket_size in all, stopping at nid or
+    when the walk comes round to the canonical finger.  Seen from nid
+    they come in falling clockwise distance, best progress first."""
+    canon = net.ring.finger(nid, offset)
+    out = [canon]
+    cur = canon
+    while len(out) < net.bucket_size:
+        cur = net.ring.predecessor(cur)
+        if cur == canon or cur == nid:
+            break
+        out.append(cur)
+    return out
+
+
 def ewma_update(score, result, alpha):
     """Exponentially weighted update of score toward result."""
     if not 0.0 <= alpha <= 1.0:

@@ -13,6 +13,7 @@ from dhtsim.halonet import (
     START_COLLUDER,
     HaloNetwork,
     _route_to_predecessor,
+    _walk_buckets,
     _window_covers,
     chord_next_hop,
     classify_failure,
@@ -23,7 +24,7 @@ from dhtsim.halonet import (
 )
 from dhtsim.idspace import Ring, ring_distance
 from dhtsim.reputation import DEFAULT_PRIOR
-from oracles import ring_successors
+from oracles import finger_bucket, ring_successors
 
 
 def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
@@ -59,7 +60,7 @@ def test_finger_bucket_members():
     for _ in range(200):
         nid = rng.choice(net.ring.ids)
         off = rng.randrange(net.bits)
-        bucket = net.finger_bucket(nid, off)
+        bucket = finger_bucket(net, nid, off)
         canon = net.ring.finger(nid, off)
         assert bucket[0] == canon
         assert len(bucket) == len(set(bucket)) <= 3
@@ -116,7 +117,7 @@ def test_chord_next_hop_against_all_table_entries():
         d = ring_distance(v, y, net.bits)
         entries = set()
         for i in range(d.bit_length()):
-            entries.update(net.finger_bucket(v, i))
+            entries.update(finger_bucket(net, v, i))
         progress = [f for f in entries
                     if f != v and ring_distance(v, f, net.bits) < d]
         if progress:
@@ -145,7 +146,7 @@ def nearest_progressing_bucket(net, v, target):
     """Members of v's nearest finger bucket that advance toward target."""
     d = ring_distance(v, target, net.bits)
     for i in range(d.bit_length() - 1, -1, -1):
-        bucket = [c for c in net.finger_bucket(v, i)
+        bucket = [c for c in finger_bucket(net, v, i)
                   if c != v and ring_distance(v, c, net.bits) < d]
         if bucket:
             return bucket
@@ -163,7 +164,7 @@ def test_route_short_circuits_over_successor_list():
         for y in succ[1:]:
             pred = net.ring.predecessor(y)
             d = ring_distance(v, y, net.bits)
-            assert _window_covers(net, v, d, net.successor_count)
+            assert _window_covers(net, v, d)
             if pred not in nearest_progressing_bucket(net, v, y):
                 assert chord_next_hop(net, v, y) != pred
                 cases.append((v, y, pred))
@@ -187,21 +188,66 @@ def test_window_covers_matches_successor_list():
     seen = set()
     for trial in range(40):
         net = small_net(rng.randint(10, 40), seed=rng.randrange(999), bits=10)
+        count = net.successor_count
         if trial % 4 == 0:
             # leaves shrink the ring below successor_count + 1 nodes
-            keep = rng.randint(1, net.successor_count)
+            keep = rng.randint(1, count)
             for nid in rng.sample(net.ring.ids, len(net.ring) - keep):
                 net.leave(nid)
         for _ in range(50):
             v = rng.choice(net.ring.ids)
             d = ring_distance(v, rng.randrange(net.space), net.bits)
-            window = rng.randint(0, net.successor_count + 2)
-            succ = ring_successors(net.ring, v,
-                                   min(window, net.successor_count))
+            net.successor_count = rng.randint(0, count + 2)
+            succ = ring_successors(net.ring, v, net.successor_count)
             want = bool(succ) and d <= ring_distance(v, succ[-1], net.bits)
-            assert _window_covers(net, v, d, window) == want
+            assert _window_covers(net, v, d) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def test_walk_offers_each_oracle_bucket_in_order():
+    # a pick that never accepts sees every bucket holding a member that
+    # makes progress, nearest first, and the walk falls back to the
+    # nearest bucket's first member, or v when no bucket has one
+    rng = random.Random(39)
+    buckets_seen = set()
+    for bucket_size in (1, 2, 3, 4):
+        for trial in range(12):
+            net = small_net(40, seed=rng.randrange(999), bits=10,
+                            bucket_size=bucket_size)
+            if trial % 3 == 0:
+                # leaves shrink the ring to successor_count + 2 nodes
+                keep = net.successor_count + 2
+                for nid in rng.sample(net.ring.ids, len(net.ring) - keep):
+                    net.leave(nid)
+            elif trial % 3 == 1:
+                # fewer live nodes than bucket members: buckets wrap
+                for nid in rng.sample(net.ring.ids, len(net.ring) - 3):
+                    net.leave(nid)
+            for _ in range(30):
+                v = rng.choice(net.ring.ids)
+                if rng.random() < 0.3:
+                    v = rng.randrange(net.space)   # need not be live
+                target = rng.choice(
+                    [rng.randrange(net.space), rng.randint(-4, 4) % net.space])
+                offered = []
+
+                def pick(usable):
+                    offered.append(list(usable))
+                    return usable[0], False
+
+                got = _walk_buckets(net, v, target, pick)
+                d = ring_distance(v, target, net.bits)
+                want = []
+                for i in range(d.bit_length() - 1, -1, -1):
+                    bucket = [c for c in finger_bucket(net, v, i)
+                              if 0 < ring_distance(v, c, net.bits) < d]
+                    if bucket:
+                        want.append(bucket)
+                assert offered == want
+                assert got == (want[0][0] if want else v)
+                buckets_seen.update(len(b) for b in want)
+    assert buckets_seen == {1, 2, 3, 4}
 
 
 def test_route_reaches_predecessor():
@@ -343,7 +389,7 @@ def test_reds_next_hop_avoids_low_scored_contact():
             # halfway through offset i's range, past the successor list
             y = (origin + 3 * (1 << (i - 1))) % net.space
             d = ring_distance(origin, y, net.bits)
-            if _window_covers(net, origin, d, net.successor_count):
+            if _window_covers(net, origin, d):
                 continue
             bucket = nearest_progressing_bucket(net, origin, y)
             if len(bucket) == 2:
@@ -434,6 +480,12 @@ def test_lookup_argument_errors():
             HaloNetwork(100, colluding=0.2, seed=31, redundancy=redundancy)
     with pytest.raises(ValueError):
         halo_lookup(net, good, 1, mode="bogus")
+    for target in (-1, net.space, net.space + 1):
+        with pytest.raises(ValueError):
+            halo_lookup(net, good, target)
+    assert halo_lookup(net, good, net.space - 1).target == net.space - 1
+    with pytest.raises(ValueError):
+        HaloNetwork(100, seed=31, bucket_size=0)
     gone = net.honest_nodes()[1]
     net.leave(gone)
     for mode in MODES:

@@ -1,9 +1,12 @@
-"""Pinned outcome digests of the benchmark's small seed-1 runs.
+"""Pinned outcome digests of the benchmark's seed-1 runs.
 
 Each workload's digest hashes the outcome trail of its first round:
 every lookup's answer, every churn event, every exchange epoch and
 every grid point.  A change meant to leave outcomes alone must keep
 these prefixes; a change that moves outcomes updates them and says why.
+Every workload is pinned at its --small size; the two Halo workloads
+are pinned at full size too, which reaches ring wrap-around and finger
+bucket edge cases that the small rings rarely do.
 """
 
 import os
@@ -21,15 +24,29 @@ DIGESTS = {
     "oscillation-sweep": "78b001ba7a28",
 }
 
+FULL_SIZE_DIGESTS = {
+    "halo-attack": "8c65801714f6",
+    "halo-shared-churn": "8fa3a56dac52",
+}
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_small_seed_one_digest(workload):
+
+def seed_one_digest(workload, *flags):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--seed", "1", "--seconds", "1",
-         "--small"],
+         "--workload", workload, "--seed", "1", "--seconds", "1"]
+        + list(flags),
         capture_output=True, text=True, cwd=ROOT, timeout=300, check=True)
     digests = [line.split()[1] for line in proc.stdout.splitlines()
                if line.startswith("digest ")]
     assert len(digests) == 1
-    assert digests[0].startswith(DIGESTS[workload])
+    return digests[0]
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_small_seed_one_digest(workload):
+    assert seed_one_digest(workload, "--small").startswith(DIGESTS[workload])
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_SIZE_DIGESTS))
+def test_full_size_seed_one_digest(workload):
+    assert seed_one_digest(workload).startswith(FULL_SIZE_DIGESTS[workload])
