@@ -103,12 +103,10 @@ def use_based_targets(ring, attacker, m):
     if not 1 <= m <= top:
         raise ValueError("m outside 1..log2(n)")
     victims = []
+    before = ring.predecessor(attacker)
     for j in range(1, m + 1):
         # the m largest finger offsets of the id space
-        off = 1 << (ring.bits - j)
-        lo = (ring.predecessor(attacker) - off) % ring.space
-        hi = (attacker - off) % ring.space
-        pointing = ring.interval(lo, hi)
+        pointing = ring.pointing(attacker, before, ring.bits - j)
         if not pointing:
             continue
         cand = pointing[-1]   # last node at or before hi

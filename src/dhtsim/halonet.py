@@ -8,6 +8,13 @@ consolidated the same way, so one honest subsearch that found the true
 owner beats any number of colluder answers, which necessarily sit
 further clockwise.
 
+Each fact about a lookup is read off the ring once: one bisect for the
+target gives its owner v and v's predecessor, one per subsearch gives
+pred(y) and owner(y), and an attacked lookup asks for the colluders'
+answer once.  A subsearch's knuckle_exists flag says whether any live
+node holds v as its offset-i finger (idspace.Ring.pointing); on tiny
+rings that node can be v itself.
+
 Routing tables are derived from the live ring on demand, which keeps
 fingers and successor lists exact under churn, and are read by index
 from the ring's sorted ids: one bisect finds a node's successor window
@@ -70,7 +77,7 @@ class Subsearch:
         self.neighbor = neighbor      # z, the node owning target - 2**offset
         self.candidate = candidate
         self.contacts = contacts
-        self.hijack = hijack          # None | "start" | "path" | "knuckle"
+        self.hijack = hijack          # None or a colluder failure reason
         self.knuckle_exists = knuckle_exists
         self.agreed = None            # set after consolidation
 
@@ -165,32 +172,6 @@ class HaloNetwork(Overlay):
         return nid
 
 
-def knuckle_interval(net, target, offset):
-    """Clockwise-open id interval (lo, hi] whose nodes hold owner(target)
-    as their offset-i finger."""
-    v = net.ring.owner(target)
-    off = 1 << offset
-    lo = (net.ring.predecessor(v) - off) % net.space
-    hi = (v - off) % net.space
-    return lo, hi
-
-
-def knuckle_exists(net, target, offset):
-    lo, hi = knuckle_interval(net, target, offset)
-    return bool(net.ring.interval(lo, hi))
-
-
-def knuckles(net, target):
-    """All nodes holding owner(target) in their finger table."""
-    v = net.ring.owner(target)
-    out = set()
-    for offset in range(net.bits):
-        lo, hi = knuckle_interval(net, target, offset)
-        out.update(net.ring.interval(lo, hi))
-    out.discard(v)
-    return out
-
-
 def _window_covers(net, v, d):
     """Whether the point d clockwise of live node v lies within v's
     successor list (successor_count long, capped at the other live
@@ -281,14 +262,16 @@ def reds_next_hop(net, v, target, avoid=()):
     return _walk_buckets(net, v, target, pick)
 
 
-def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
-    """Iteratively route from origin toward pred(y).
+def _route_to_predecessor(net, origin, y, pred, mode, attacked, avoid):
+    """Iteratively route from origin toward pred, the live node just
+    before y.
 
-    Returns (w, path, hijack_kind, covered).  Each hop is a network
-    contact.  A hop whose successor list covers y names pred(y)
-    directly; any other hop asks reds_next_hop when its node is reputed
-    in this mode and chord_next_hop else.  A colluder contacted during
-    an attacked lookup hijacks the subsearch and comes back as w.
+    Returns (w, path, hijack, covered), hijack being the colluder
+    failure reason or None.  Each hop is a network contact.  A hop
+    whose successor list covers y names pred(y) directly; any other
+    hop asks reds_next_hop when its node is reputed in this mode and
+    chord_next_hop else.  A colluder contacted during an attacked
+    lookup hijacks the subsearch and comes back as w.
     covered is set when the hijacker is pred(y) named by such a
     short-circuiting hop, so the origin learned owner(y) from that
     honest node as well and a lying predecessor cannot conceal it.
@@ -301,7 +284,6 @@ def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
     mask = net.space - 1
     path = []
     cur = origin
-    pred = net.ring.predecessor(y)
     for _ in range(2 * net.bits):
         d = (y - cur) & mask
         covered = d > 0 and _window_covers(net, cur, d)
@@ -316,30 +298,38 @@ def _route_to_predecessor(net, origin, y, mode, attacked, avoid):
             return cur, path, None, False
         path.append(nxt)
         if attacked and nxt in malicious:
-            kind = "start" if len(path) == 1 else (
-                "knuckle" if nxt == pred else "path")
+            kind = START_COLLUDER if len(path) == 1 else (
+                KNUCKLE_COLLUDER if nxt == pred else BAD_NODE_IN_PATH)
             return nxt, path, kind, covered
         cur = nxt
     return cur, path, None, False
 
 
-def _subsearch(net, origin, target, offset, mode, attacked, avoid):
+def _subsearch(net, origin, target, owner, before, lie, offset, mode,
+               avoid):
+    """Probe target's owner through finger offset: route to w = pred(y)
+    for y = target - 2**offset, and ask w and z = owner(y) for their
+    offset fingers.  owner and its live predecessor before are the
+    lookup's; lie is the colluders' answer in an attacked lookup, else
+    None (as when no colluder is live to attack)."""
+    ids = net.ring.ids
     y = (target - (1 << offset)) % net.space
-    exists = knuckle_exists(net, target, offset)
-    w, path, hijack, covered = _route_to_predecessor(net, origin, y, mode,
-                                                     attacked, avoid)
+    j = bisect_left(ids, y)
+    pred, z = ids[j - 1], ids[j % len(ids)]
+    exists = bool(net.ring.pointing(owner, before, offset))
+    attacked = lie is not None
+    w, path, hijack, covered = _route_to_predecessor(net, origin, y, pred,
+                                                     mode, attacked, avoid)
     if hijack is not None and not covered:
-        return Subsearch(offset, tuple(path), None,
-                         net.closest_colluder(target), len(path),
+        return Subsearch(offset, tuple(path), None, lie, len(path),
                          hijack, exists)
-    # w and z = owner(y) each name their offset finger, unless a colluder
-    # in an attacked lookup names the colluder closest to the target
-    z = net.ring.owner(y)
+    # w and z each name their offset finger, unless a colluder in an
+    # attacked lookup names the colluder closest to the target
     candidates = []
     for x in (w,) if z == w else (w, z):
         if attacked and x in net.malicious:
-            candidates.append(net.closest_colluder(target))
-            hijack = hijack or "knuckle"
+            candidates.append(lie)
+            hijack = hijack or KNUCKLE_COLLUDER
         else:
             candidates.append(net.ring.finger(x, offset))
     best = clockwise_closest(target, candidates, net.bits)
@@ -351,21 +341,27 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
                 record=False):
     """Run one redundant lookup and consolidate the subsearch answers.
 
-    With record, in the reputation-guided modes, the origin counts one
-    use of the first contact on each subsearch path that has one, a
-    success when that subsearch agreed with the consolidated answer;
-    those counters drive its contact selection.
+    The target's owner, the live node just before it and, in an
+    attacked lookup, the colluders' answer are read once and shared by
+    every subsearch.  With record, in the reputation-guided modes, the
+    origin counts one use of the first contact on each subsearch path
+    that has one, a success when that subsearch agreed with the
+    consolidated answer; those counters drive its contact selection.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
     if not 0 <= target < net.space:
         raise ValueError("target outside [0, 2**bits)")
     attacked = net.attack_coin(origin, policy)
+    ids = net.ring.ids
+    i = bisect_left(ids, target)
+    owner, before = ids[i % len(ids)], ids[i - 1]
+    lie = net.closest_colluder(target) if attacked else None
     subs = []
     contacted = set()
     for k in range(net.redundancy):
-        sub = _subsearch(net, origin, target, net.bits - 1 - k, mode,
-                         attacked, contacted)
+        sub = _subsearch(net, origin, target, owner, before, lie,
+                         net.bits - 1 - k, mode, contacted)
         contacted.update(sub.path)
         if sub.neighbor is not None:
             contacted.add(sub.neighbor)
@@ -377,18 +373,14 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
         s.agreed = s.candidate == answer
         if record and mode in REPUTED_MODES and s.path:
             store.record(s.path[0], s.agreed)
-    return LookupOutcome(origin, target, net.ring.owner(target), answer,
-                         attacked, mode, subs)
+    return LookupOutcome(origin, target, owner, answer, attacked, mode,
+                         subs)
 
 
 def classify_failure(sub):
     """Reason a failed subsearch missed the owner, most specific first."""
-    if sub.hijack == "start":
-        return START_COLLUDER
-    if sub.hijack == "path":
-        return BAD_NODE_IN_PATH
-    if sub.hijack == "knuckle":
-        return KNUCKLE_COLLUDER
+    if sub.hijack is not None:
+        return sub.hijack
     if not sub.knuckle_exists:
         return KNUCKLE_NONEXISTENT
     return WRONG_SUCCESSOR

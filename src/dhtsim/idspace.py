@@ -94,6 +94,14 @@ class Ring:
             return self.ids[i:j]
         return self.ids[i:] + self.ids[:j]
 
+    def pointing(self, v, before, i):
+        """Live ids whose offset-i finger is v, given before, the live
+        node just before v: the interval (before - 2**i, v - 2**i].
+        Empty on a one-node ring, where before is v."""
+        off = 1 << i
+        return self.interval((before - off) % self.space,
+                             (v - off) % self.space)
+
     def finger(self, nid, i):
         """Owner of nid + 2**i, the canonical finger at offset i."""
         return self.owner((nid + (1 << i)) % self.space)

@@ -15,8 +15,10 @@ tables.  _answer is the single rule for what a queried node replies:
 the contacts it returns and the root it nominates.  The reputation
 variants fight back at three points: the querier picks contacts by
 score, every honest responder picks within its bucket by score, and
-bucket eviction ejects the worst-scoring entry instead of the least
-recent one.
+bucket eviction ejects the entry with the fewest recorded successes
+instead of the least recent one.  Eviction counts successes, not the
+score: failures do not count against a contact, so one with 3
+successes in 100 uses outlives one with no record at all.
 
 Membership (ids, colluders, stores, join, leave and the attack coin)
 is the shared core, overlay.Overlay; KadNetwork adds the contacts.
@@ -174,10 +176,6 @@ class KadNetwork(Overlay):
                 if shared_prefix_bits(u, key, self.bits)
                 >= self.tolerance_bits]
 
-    def truth_root(self, key):
-        roots = self.replica_roots(key)
-        return roots[0] if roots else None
-
     def random_key(self, rng):
         """A uniform key among those with at least one replica root in
         search tolerance: a uniform tolerance block holding a live id,
@@ -222,7 +220,8 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
     """File candidate into node's bucket for their shared prefix.
 
     A full bucket evicts the least-recently-seen entry, or under the
-    reputation policy the lowest-scored entry with least-recently-seen
+    reputation policy the entry with the fewest successes in node's
+    store (uses and failures are not counted), least-recently-seen
     breaking ties.  Re-encounters only refresh the activity clock.
     Passive sightings (active=False) fill spare bucket space but never
     displace or refresh anything: only contacts a node chose to talk

@@ -232,7 +232,6 @@ class SharedExchange:
         self.method = _canon_method(method)
         self.rng = random.Random(seed)
         self.adversarial = adversarial
-        self.last_sent = {}   # (sender, finger) -> last broadcast value
         self.reports = {}     # finger -> {honest sender: latest value}
         # forged reports by rounded inputs; one bounded cache per exchange,
         # so no two exchanges share state.  Its misses share the colluder
@@ -278,8 +277,7 @@ class SharedExchange:
             for k in honest:
                 r = net.first_hand_score(k, f)
                 owns.append(r)
-                if self.last_sent.get((k, f)) != r:
-                    self.last_sent[(k, f)] = r
+                if table.get(k) != r:
                     table[k] = r
                     sent += 1
             # every honest holder has a report in table by now
@@ -328,12 +326,10 @@ class SharedExchange:
         for f in list(self.reports):
             hs = holders.get(f)
             if hs is None:
-                for s in self.reports.pop(f):
-                    self.last_sent.pop((s, f), None)
+                del self.reports[f]
                 continue
             live = set(hs)
             table = self.reports[f]
             for s in list(table):
                 if s not in live or s not in self.net.stores:
                     del table[s]
-                    self.last_sent.pop((s, f), None)

@@ -22,6 +22,22 @@ def ring_successors(ring, nid, count):
     return out
 
 
+def ring_owner(ring, key):
+    """First live id at or after key, wrapping, by scanning every id."""
+    return min(ring.ids, key=lambda u: (u - key) % ring.space)
+
+
+def ring_predecessor(ring, key):
+    """Last live id strictly before key, wrapping, by scanning every id."""
+    return min(ring.ids, key=lambda u: (key - u - 1) % ring.space)
+
+
+def pointing_at(ring, v, offset):
+    """Live ids whose offset finger is v, v included, from every live
+    id's brute-force finger."""
+    return [u for u in ring.ids if ring_owner(ring, u + (1 << offset)) == v]
+
+
 def finger_bucket(net, nid, offset):
     """Halo's contacts of nid for offset: the canonical finger and the
     nodes just before it, net.bucket_size in all, stopping at nid or
@@ -36,6 +52,25 @@ def finger_bucket(net, nid, offset):
             break
         out.append(cur)
     return out
+
+
+def knuckles(net, target):
+    """All nodes other than owner(target) holding owner(target) in their
+    finger table, offset by offset through Ring.pointing."""
+    v = net.ring.owner(target)
+    before = net.ring.predecessor(v)
+    out = set()
+    for offset in range(net.bits):
+        out.update(net.ring.pointing(v, before, offset))
+    out.discard(v)
+    return out
+
+
+def truth_root(net, key):
+    """Kademlia's true root of key: the nearest replica root, or None
+    when no live id lies within search tolerance."""
+    roots = net.replica_roots(key)
+    return roots[0] if roots else None
 
 
 def ewma_update(score, result, alpha):

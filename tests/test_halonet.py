@@ -18,13 +18,18 @@ from dhtsim.halonet import (
     chord_next_hop,
     classify_failure,
     halo_lookup,
-    knuckle_exists,
-    knuckles,
     reds_next_hop,
 )
-from dhtsim.idspace import Ring, ring_distance
+from dhtsim.idspace import Ring, clockwise_closest, ring_distance
 from dhtsim.reputation import DEFAULT_PRIOR
-from oracles import finger_bucket, ring_successors
+from oracles import (
+    finger_bucket,
+    knuckles,
+    pointing_at,
+    ring_owner,
+    ring_predecessor,
+    ring_successors,
+)
 
 
 def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
@@ -101,9 +106,9 @@ def test_knuckle_nonexistent_rate_quarter():
     misses = 0
     trials = 20000
     for _ in range(trials):
-        t = rng.randrange(net.space)
+        v = net.ring.owner(rng.randrange(net.space))
         off = net.bits - 1 - rng.randrange(net.redundancy)
-        misses += not knuckle_exists(net, t, off)
+        misses += not net.ring.pointing(v, net.ring.predecessor(v), off)
     assert abs(misses / trials - 0.25) < 0.02
 
 
@@ -175,10 +180,10 @@ def test_route_short_circuits_over_successor_list():
         for v, y, pred in cases:
             for attacked in (False, True):
                 w, path, hijack, covered = _route_to_predecessor(
-                    net, v, y, mode, attacked, set())
+                    net, v, y, pred, mode, attacked, set())
                 assert path == [pred] and w == pred
                 if attacked and pred in net.malicious:
-                    assert hijack == "start" and covered
+                    assert hijack == START_COLLUDER and covered
                 else:
                     assert hijack is None and not covered
 
@@ -257,7 +262,7 @@ def test_route_reaches_predecessor():
         origin = rng.choice(net.ring.ids)
         y = rng.randrange(net.space)
         w, path, hijack, covered = _route_to_predecessor(
-            net, origin, y, "regular", False, set())
+            net, origin, y, net.ring.predecessor(y), "regular", False, set())
         assert hijack is None
         assert covered is False
         assert w == net.ring.predecessor(y) or (
@@ -354,6 +359,64 @@ def test_unattacked_lookup_never_hijacks():
                           mode="regular", policy=policy)
         assert not out.attacked
         assert all(s.hijack is None for s in out.subsearches)
+
+
+def edge_targets(net, rng):
+    """Targets just before and after 0, on and beside live ids, and a
+    few uniform ones."""
+    ids = net.ring.ids
+    near_zero = [t % net.space for t in range(-3, 4)]
+    beside = [(u + d) % net.space for u in rng.sample(ids, 3)
+              for d in (-1, 0, 1)]
+    return near_zero + beside + [rng.randrange(net.space) for _ in range(4)]
+
+
+@pytest.mark.parametrize("shrink", [True, False])
+def test_lookup_facts_match_brute_force(shrink):
+    # each lookup's owner and knuckle flags, and each subsearch's probes
+    # and answer, against scans of every live id; shrunk rings hold
+    # successor_count + 2 nodes, so knuckle intervals are wide, wrap
+    # past zero and can hold the owner
+    rng = random.Random(41)
+    flags, hijacked = set(), 0
+    for _ in range(12):
+        net = small_net(40, colluding=0.25, seed=rng.randrange(999), bits=10)
+        if shrink:
+            keep = net.successor_count + 2
+            for nid in rng.sample(net.ring.ids, len(net.ring) - keep):
+                net.leave(nid)
+        ring = net.ring
+        policy = AttackPolicy(0.5, seed=rng.randrange(999))
+        for t in edge_targets(net, rng):
+            out = halo_lookup(net, rng.choice(net.honest_nodes()), t,
+                              mode=rng.choice(MODES), policy=policy)
+            assert out.owner == ring_owner(ring, t)
+            lie = min(net.colluders, default=None,
+                      key=lambda c: ring_distance(t, c, net.bits))
+            for s in out.subsearches:
+                exists = bool(pointing_at(ring, out.owner, s.offset))
+                assert s.knuckle_exists == exists
+                flags.add(exists)
+                if s.neighbor is None:
+                    # an uncovered hijack answers the colluders' lie
+                    assert out.attacked and s.path[-1] in net.malicious
+                    assert s.candidate == lie
+                    hijacked += 1
+                    continue
+                y = (t - (1 << s.offset)) % net.space
+                w = ring_predecessor(ring, y)
+                assert s.neighbor == ring_owner(ring, y)
+                assert not s.path or s.path[-1] == w
+                answers = []
+                for x in (w,) if w == s.neighbor else (w, s.neighbor):
+                    if out.attacked and x in net.malicious:
+                        answers.append(lie)
+                        hijacked += 1
+                    else:
+                        answers.append(ring_owner(ring, x + (1 << s.offset)))
+                assert s.candidate == clockwise_closest(t, answers, net.bits)
+    assert flags == {True, False}
+    assert hijacked > 20
 
 
 def test_classification_covers_reasons():

@@ -12,7 +12,7 @@ from dhtsim.idspace import (
     xor_closest,
     xor_distance,
 )
-from oracles import ring_successors
+from oracles import pointing_at, ring_successors
 
 
 def test_ring_distance_examples():
@@ -151,6 +151,25 @@ def test_ring_interval_against_brute_force():
     assert ring.interval(3, 15) == [5, 10, 15]
     assert ring.interval(12, 7) == [15, 5]
     assert ring.interval(10, 10) == []
+
+
+def test_ring_pointing_against_brute_force_fingers():
+    """pointing(v, pred(v), i) lists exactly the live ids whose
+    offset-i finger is v, on rings down to two nodes, where v can point
+    at itself.  A lone node's interval is empty."""
+    rng = random.Random(9)
+    bits = 6
+    seen_self = False
+    for _ in range(200):
+        ring = Ring(sample_ids(rng.randint(2, 12), rng, bits), bits)
+        for v in ring.ids:
+            before = ring.ids[ring.ids.index(v) - 1]
+            for i in range(bits):
+                got = ring.pointing(v, before, i)
+                assert sorted(got) == pointing_at(ring, v, i)
+                seen_self |= v in got
+    assert seen_self
+    assert Ring([9], bits).pointing(9, 9, 3) == []
 
 
 def test_ring_membership_add_remove():

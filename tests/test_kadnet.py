@@ -17,6 +17,7 @@ from dhtsim.kadnet import (
     pollution_fraction,
     warmup,
 )
+from oracles import truth_root
 
 
 def fig2_graph():
@@ -158,7 +159,7 @@ class TestBuckets:
         bucket_insert(net, node, d)
         assert node.bucket(2, net.bits) == sorted([a, c, d])
 
-    def test_reputed_eviction_drops_lowest_score_then_least_seen(self):
+    def test_reputed_eviction_drops_fewest_successes_then_least_seen(self):
         net = self.make_net()
         node = self.blank(net)
         store = net.stores[node.id]
@@ -167,7 +168,7 @@ class TestBuckets:
             bucket_insert(net, node, cand)
             for _ in range(hits):
                 store.record(cand, True)
-        # scores tie at 3 hits for b and c; b was seen earlier
+        # successes tie at 3 for b and c; b was seen earlier
         d = self.peer(node, 2, 4)
         bucket_insert(net, node, d, reds=True)
         assert node.bucket(2, net.bits) == sorted([a, c, d])
@@ -215,7 +216,7 @@ class TestReplicaRoots:
                     if shared_prefix_bits(u, key) >= net.tolerance_bits]
             assert net.replica_roots(key) == want
             if want:
-                assert net.truth_root(key) == want[0]
+                assert truth_root(net, key) == want[0]
 
     def test_random_key_always_in_tolerance(self):
         net = KadNetwork(64, seed=3)
@@ -231,12 +232,12 @@ class TestReplicaRoots:
         rng = random.Random(5)
         for _ in range(20):
             key = net.random_key(rng)
-            assert net.truth_root(key) is not None
+            assert truth_root(net, key) is not None
 
     def test_random_key_uniform_over_keys_in_tolerance(self):
         net = KadNetwork(10, seed=8, bits=8, tolerance_bits=4)
         valid = [key for key in range(net.space)
-                 if net.truth_root(key) is not None]
+                 if truth_root(net, key) is not None]
         draws = 100 * len(valid)
         rng = random.Random(6)
         hits = Counter(net.random_key(rng) for _ in range(draws))
@@ -273,7 +274,7 @@ class TestLookup:
         for _ in range(150):
             out = kad_lookup(net, rng.choice(hon), net.random_key(rng))
             assert out.success
-            assert out.closest_root == net.truth_root(out.key)
+            assert out.closest_root == truth_root(net, out.key)
 
     def test_step_count_logarithmic(self):
         net = KadNetwork(400, seed=6)
@@ -318,7 +319,7 @@ class TestLookup:
                 v = rng.choice(net.colluders)
                 ret, _ = _answer(net, v, key, attacked, "regular",
                                  set(net.replica_roots(key)),
-                                 net.truth_root(key))
+                                 truth_root(net, key))
                 assert len(ret) <= BETA
                 floor = shared_prefix_bits(v, key) + 1
                 closer = [m for m in net.colluders_within(key, floor)
@@ -344,7 +345,7 @@ class TestLookup:
         seen = set()
         for _ in range(200):
             seen.update(_answer(net, v, key, True, "regular", roots,
-                                net.truth_root(key))[0])
+                                truth_root(net, key))[0])
         assert len(seen) > 2 * BETA
 
     def test_cornered_colluder_hands_over_known_truth(self):
@@ -357,7 +358,7 @@ class TestLookup:
         handed = 0
         for _ in range(2000):
             key = net.random_key(rng)
-            truth = net.truth_root(key)
+            truth = truth_root(net, key)
             v = net.closest_colluders(key, 1)[0]
             if v == truth or not net.nodes[v].knows(truth):
                 continue

@@ -5,8 +5,9 @@ every lookup's answer, every churn event, every exchange epoch and
 every grid point.  A change meant to leave outcomes alone must keep
 these prefixes; a change that moves outcomes updates them and says why.
 Every workload is pinned at its --small size; the two Halo workloads
-are pinned at full size too, which reaches ring wrap-around and finger
-bucket edge cases that the small rings rarely do.
+and kad-attack are pinned at full size too, which reaches ring
+wrap-around, finger bucket and k-bucket edge cases that the small
+overlays rarely do.
 """
 
 import os
@@ -27,6 +28,7 @@ DIGESTS = {
 FULL_SIZE_DIGESTS = {
     "halo-attack": "8c65801714f6",
     "halo-shared-churn": "8fa3a56dac52",
+    "kad-attack": "bc376fdb15a2",
 }
 
 

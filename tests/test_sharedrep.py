@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from dhtsim.adversary import AttackPolicy
-from dhtsim.halonet import HaloNetwork, halo_lookup, knuckles
+from dhtsim.halonet import HaloNetwork, halo_lookup
 from dhtsim import sharedrep
 from dhtsim.idspace import Ring
 from dhtsim.sharedrep import (
@@ -19,6 +19,7 @@ from dhtsim.sharedrep import (
     aggregate,
     expected_dropoff,
 )
+from oracles import knuckles
 
 
 def ring_shim(ids, bits):
@@ -353,7 +354,7 @@ def test_exchanges_share_no_report_cache():
 def test_churn_leaves_no_departed_id_behind():
     # ids are never reused, so nothing said about a departed node is read
     # again: no store may keep its counter or a tie set naming it, and
-    # after the next epoch no exchange report or last-sent key may either
+    # after the next epoch no exchange report may either
     net = HaloNetwork(100, 0.2, seed=21)
     policy = AttackPolicy(1.0, seed=21)
     ex = SharedExchange(net, "dropoff", seed=21)
@@ -377,11 +378,12 @@ def test_churn_leaves_no_departed_id_behind():
                 assert departed.isdisjoint(st.counts)
                 assert all(departed.isdisjoint(sig) for sig in st._tie_choice)
         if i % 100 == 0:
-            stale += sum(not departed.isdisjoint(key) for key in ex.last_sent)
+            # (finger, sender) report entries naming a departed id
+            stale += sum(f in departed or s in departed
+                         for f, t in ex.reports.items() for s in t)
             ex.run_epoch()
             assert departed.isdisjoint(ex.reports)
             assert all(departed.isdisjoint(t) for t in ex.reports.values())
-            assert all(departed.isdisjoint(key) for key in ex.last_sent)
     assert counted > 20 and tied > 20 and stale > 20
 
 
@@ -406,8 +408,7 @@ class PerRequestExchange(SharedExchange):
             table = self.reports.setdefault(f, {})
             for k in honest:
                 r = net.first_hand_score(k, f)
-                if self.last_sent.get((k, f)) != r:
-                    self.last_sent[(k, f)] = r
+                if table.get(k) != r:
                     table[k] = r
                     sent += 1
             n_bad = len(hs) - len(honest)
