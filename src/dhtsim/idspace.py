@@ -3,7 +3,9 @@
 All identifiers are unsigned integers below 2**bits.  The ring metric is
 directional (clockwise); the XOR metric is a true metric.  A Ring holds
 the sorted ids of live nodes and answers ownership queries, which keeps
-routing tables implicitly consistent under churn.
+routing tables implicitly consistent under churn.  xor_closest finds
+the XOR-nearest ids of a sorted list by sorting only the smallest
+aligned block around the key that holds enough of them.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -110,36 +112,36 @@ class Ring:
 def xor_closest(ids, key, count=1):
     """The count ids nearest key by XOR distance; ids must be sorted.
 
-    Walks the implicit binary trie of the sorted array, descending into
-    the half matching key's bit first, so ids come out in exact XOR
-    order without scoring the whole array.  The trie is path-compressed:
-    a range holding one id yields it at once, and a range whose ids all
-    share their bits above some level skips straight to that level,
-    since key's bits there order none of them.  The levels come from
-    the ids themselves, so the walk needs no id width.
+    The ids agreeing with key above some level s form an aligned block,
+    a contiguous run of the sorted list, and every id inside it is
+    nearer key than any id outside it.  So the count nearest ids lie in
+    the smallest such block holding count ids.  That block contains
+    key's insertion point i0, and so some window of count consecutive
+    ids around i0; a window's level is the larger of its two ends'
+    XOR bit lengths, since the ids between them agree with key at least
+    as far.  s is the least level over the windows holding i0 (count + 1
+    of them, fewer near either end), two bisects find the block, and one sort by XOR orders it.  The
+    levels come from the ids themselves, so no id width is needed.
+    Worst case: when key's half of the space holds no id, the block is
+    the whole list, ordered by one sort.
     """
-    out = []
-    _xor_walk(ids, 0, len(ids), key, count, out)
-    return out
-
-
-def _xor_walk(ids, lo, hi, key, count, out):
-    if lo >= hi or len(out) >= count:
-        return
-    if hi - lo == 1:
-        out.append(ids[lo])
-        return
-    first = ids[lo]
-    # highest bit at which the range's ids differ; -1 for copies of one id
-    bit = (first ^ ids[hi - 1]).bit_length() - 1
-    if bit < 0:
-        out.extend(ids[lo:hi][: count - len(out)])
-        return
-    split = (first >> bit | 1) << bit
-    mid = bisect_left(ids, split, lo, hi)
-    if key >> bit & 1:
-        _xor_walk(ids, mid, hi, key, count, out)
-        _xor_walk(ids, lo, mid, key, count, out)
-    else:
-        _xor_walk(ids, lo, mid, key, count, out)
-        _xor_walk(ids, mid, hi, key, count, out)
+    n = len(ids)
+    if count <= 0:
+        return []
+    if count >= n:
+        return sorted(ids, key=key.__xor__)
+    i0 = bisect_left(ids, key)
+    last = count - 1
+    level = float("inf")
+    for a in range(max(0, i0 - count), min(i0, n - count) + 1):
+        s = (key ^ ids[a]).bit_length()
+        t = (key ^ ids[a + last]).bit_length()
+        if t > s:
+            s = t
+        if s < level:
+            level = s
+    base = key >> level << level
+    lo = bisect_left(ids, base)
+    block = ids[lo:bisect_left(ids, base + (1 << level), lo)]
+    block.sort(key=key.__xor__)
+    return block[:count]

@@ -27,11 +27,13 @@ Lookup accounting follows a per-lookup graph of who returned whom.
 When a lookup ends at the true closest replica root, a depth-first
 walk from that root credits every node on a returning path; everything
 else seen in the lookup records a miss.  A lookup whose querier is
-itself the true root tests no contact and records nothing.
+itself the true root tests no contact and records nothing.  A join
+self-lookup scores nothing, so it keeps no graph.
 """
 
 import random
 from bisect import bisect_left, insort
+from itertools import groupby
 
 from .idspace import (DEFAULT_BITS, shared_prefix_bits, xor_closest,
                       xor_distance)
@@ -65,9 +67,6 @@ class KadNode:
         self.id = nid
         self.last_seen = {}   # contact id -> monotonic activity serial
         self.sorted_contacts = []
-
-    def contacts(self):
-        return self.sorted_contacts
 
     def knows(self, nid):
         return nid in self.last_seen
@@ -149,24 +148,25 @@ class KadNetwork(Overlay):
     def _seed_contacts(self, v):
         """Give a node a handful of random live peers to bootstrap
         from.  Nobody learns of the node here; that happens when it
-        looks up its own id (see _self_lookup)."""
-        others = [u for u in self.ids if u != v]
+        looks up its own id (see _self_lookup).  The peers are a sample
+        of the other ids, drawn as indices into ids with v's own index
+        skipped, which draws exactly what sampling a list of the others
+        would."""
+        ids = self.ids
+        at = bisect_left(ids, v)
+        others = len(ids) - 1
         node = self.nodes[v]
-        for u in self.rng.sample(others, min(self.bootstrap, len(others))):
-            bucket_insert(self, node, u)
+        for j in self.rng.sample(range(others), min(self.bootstrap, others)):
+            bucket_insert(self, node, ids[j + (j >= at)])
 
     def _self_lookup(self, v):
         """Kademlia's join step: v looks up its own id through its
         contacts.  v files everyone it queries, and each honest
         responder files v passively, so v's near buckets fill and its
         neighbourhood learns it.  A protocol step rather than a scored
-        lookup: it records no scores, takes no attack serial, and
-        colluders perform it too."""
+        lookup: it records no scores, takes no attack serial, keeps no
+        lookup graph, and colluders perform it too."""
         _iterate(self, v, v, "regular", False, self.replica_roots(v))
-
-    def tick(self):
-        self.clock += 1
-        return self.clock
 
     def replica_roots(self, key):
         """The closest replica_count nodes agreeing with key in the
@@ -179,9 +179,11 @@ class KadNetwork(Overlay):
     def random_key(self, rng):
         """A uniform key among those with at least one replica root in
         search tolerance: a uniform tolerance block holding a live id,
-        then a uniform key inside it."""
+        then a uniform key inside it.  ids is sorted, so dropping
+        repeated blocks in one pass lists each occupied block once, in
+        order."""
         shift = self.bits - self.tolerance_bits
-        blocks = sorted({u >> shift for u in self.ids})
+        blocks = [b for b, _ in groupby(u >> shift for u in self.ids)]
         return rng.choice(blocks) << shift | rng.randrange(1 << shift)
 
     def closest_colluders(self, key, count):
@@ -225,29 +227,32 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
     breaking ties.  Re-encounters only refresh the activity clock.
     Passive sightings (active=False) fill spare bucket space but never
     displace or refresh anything: only contacts a node chose to talk
-    to earn that.
+    to earn that.  Every filing or refresh stamps the candidate with
+    the next tick of net.clock.
     """
     if candidate == node.id:
         raise ValueError("node cannot bucket itself")
-    if node.knows(candidate):
-        if active:
-            node.last_seen[candidate] = net.tick()
-        return
-    bucket = node.bucket(shared_prefix_bits(node.id, candidate, net.bits),
-                         net.bits)
-    if len(bucket) >= net.k:
+    last_seen = node.last_seen
+    if candidate in last_seen:
         if not active:
             return
-        if reds and node.id not in net.malicious:
-            counts = net.stores[node.id].counts
-            worst = min(bucket,
-                        key=lambda u: (counts.get(u, (0, 0))[0],
-                                       node.last_seen[u]))
-        else:
-            worst = min(bucket, key=lambda u: node.last_seen[u])
-        node.drop(worst)
-    node.last_seen[candidate] = net.tick()
-    insort(node.sorted_contacts, candidate)
+    else:
+        bucket = node.bucket(shared_prefix_bits(node.id, candidate, net.bits),
+                             net.bits)
+        if len(bucket) >= net.k:
+            if not active:
+                return
+            if reds and node.id not in net.malicious:
+                counts = net.stores[node.id].counts
+                worst = min(bucket,
+                            key=lambda u: (counts.get(u, (0, 0))[0],
+                                           last_seen[u]))
+            else:
+                worst = min(bucket, key=last_seen.__getitem__)
+            node.drop(worst)
+        insort(node.sorted_contacts, candidate)
+    net.clock += 1
+    last_seen[candidate] = net.clock
 
 
 def graph_step(graph, q, step, queried, returned):
@@ -333,10 +338,12 @@ def _answer(net, v, key, attacked, mode, roots, truth):
     return xor_closest(node.sorted_contacts, key, BETA), own
 
 
-def _iterate(net, q, key, mode, attacked, roots):
-    """Core of the iterative search: returns graph, nominations,
-    queried, dead, and step count.  roots lists key's replica roots,
-    nearest first, as replica_roots gives them.
+def _iterate(net, q, key, mode, attacked, roots, graph=None):
+    """Core of the iterative search: returns nominations, queried,
+    dead, and step count.  roots lists key's replica roots, nearest
+    first, as replica_roots gives them.  When graph is a LookupGraph,
+    every query's results are folded into it; a lookup whose result
+    nobody scores passes none.
 
     Keeps a shortlist of the net.k closest contacts heard of, querying
     the ALPHA best unqueried entries each step: closest-first
@@ -351,18 +358,18 @@ def _iterate(net, q, key, mode, attacked, roots):
     """
     truth = roots[0] if roots else None
     roots = set(roots)
-    node_q = net.nodes[q]
+    nodes = net.nodes
+    malicious = net.malicious
+    k = net.k
+    node_q = nodes[q]
     store = net.stores.get(q)
     reds = mode in REPUTED_MODES
-    graph = LookupGraph(q)
-    dist = {}
-    shortlist = []    # (xor distance to key, id), insort-maintained
-    def consider(u):
-        if u != q and u not in dist:
-            dist[u] = xor_distance(u, key)
-            insort(shortlist, (dist[u], u))
-    for u in node_q.contacts():
-        consider(u)
+    # shortlist holds (xor distance to key, id) pairs, kept sorted, and
+    # dist every id ever listed, dead ones included.  q's contacts never
+    # include q, and distinct ids have distinct distances, so one sort
+    # seeds the shortlist in the order insorting them one by one would.
+    dist = {u: xor_distance(u, key) for u in node_q.sorted_contacts}
+    shortlist = sorted([(d, u) for u, d in dist.items()])
     queried = set()
     dead = set()
     nominated = {q} if q in roots else set()
@@ -372,7 +379,7 @@ def _iterate(net, q, key, mode, attacked, roots):
         for d, u in shortlist:
             if u not in dead:
                 top.append(u)
-                if len(top) == net.k:
+                if len(top) == k:
                     break
         batch = [u for u in top if u not in queried]
         if not batch:
@@ -381,7 +388,8 @@ def _iterate(net, q, key, mode, attacked, roots):
             batch.sort(key=lambda u: (-store.score(u), dist[u]))
         for v in batch[:ALPHA]:
             queried.add(v)
-            if v not in net.nodes:
+            node_v = nodes.get(v)
+            if node_v is None:
                 # observed departure: forget the contact everywhere
                 dead.add(v)
                 node_q.drop(v)
@@ -395,16 +403,19 @@ def _iterate(net, q, key, mode, attacked, roots):
                 nominated.add(answer)
                 if answer not in returned and answer not in (v, q):
                     returned.append(answer)
-            graph_step(graph, q, 0 if v not in graph.vertices else step,
-                       v, returned)
+            if graph is not None:
+                graph_step(graph, q,
+                           0 if v not in graph.vertices else step,
+                           v, returned)
             bucket_insert(net, node_q, v, reds=reds)
-            if v not in net.malicious:
-                bucket_insert(net, net.nodes[v], q, active=False)
+            if v not in malicious:
+                bucket_insert(net, node_v, q, active=False)
             for b in returned:
-                if b not in dead:
-                    consider(b)
+                if b not in dist:
+                    d = dist[b] = xor_distance(b, key)
+                    insort(shortlist, (d, b))
         step += 1
-    return graph, nominated, queried, dead, step
+    return nominated, queried, dead, step
 
 
 def kad_lookup(net, q, key, mode="regular", policy=None):
@@ -425,8 +436,9 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     store = net.stores[q]
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
-    graph, nominated, queried, dead, step = _iterate(
-        net, q, key, mode, attacked, roots)
+    graph = LookupGraph(q)
+    nominated, queried, dead, step = _iterate(
+        net, q, key, mode, attacked, roots, graph)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
     success = closest_root is not None and closest_root == truth

@@ -16,12 +16,16 @@ class ReputationStore:
 
     Its score is (successes + prior * PRIOR_WEIGHT) / (uses + PRIOR_WEIGHT),
     so an unobserved contact scores exactly the prior and a long record
-    dominates it.
+    dominates it.  The store keeps its seed and builds its tie-break
+    rng, random.Random(seed), at the first tie it breaks: a store that
+    never breaks a tie (every Kademlia store) never pays for one, and
+    the picks are those of an rng built up front.
     """
 
     def __init__(self, seed=0):
         self.counts = {}        # contact id -> [successes, uses]
-        self._rng = random.Random(seed)
+        self.seed = seed
+        self._rng = None        # random.Random(seed), built at the first tie
         self._tie_choice = {}   # frozen tie set -> sticky pick
 
     def record(self, contact, success):
@@ -58,6 +62,8 @@ class ReputationStore:
         sig = frozenset(tied)
         pick = self._tie_choice.get(sig)
         if pick is None:
+            if self._rng is None:
+                self._rng = random.Random(self.seed)
             pick = tied[self._rng.randrange(len(tied))]
             self._tie_choice[sig] = pick
         return pick

@@ -73,6 +73,21 @@ def truth_root(net, key):
     return roots[0] if roots else None
 
 
+def bootstrap_contacts(rng, ids, v, count):
+    """Kademlia's bootstrap draw for v: a sample of count of the other
+    live ids, taken from a list of them."""
+    others = [u for u in ids if u != v]
+    return rng.sample(others, min(count, len(others)))
+
+
+def random_key(net, rng):
+    """A uniform occupied tolerance block, from a sorted set of every
+    id's block, then a uniform key inside it."""
+    shift = net.bits - net.tolerance_bits
+    blocks = sorted({u >> shift for u in net.ids})
+    return rng.choice(blocks) << shift | rng.randrange(1 << shift)
+
+
 def ewma_update(score, result, alpha):
     """Exponentially weighted update of score toward result."""
     if not 0.0 <= alpha <= 1.0:

@@ -12,6 +12,7 @@ from dhtsim.idspace import (
     xor_closest,
     xor_distance,
 )
+from dhtsim.kadnet import BETA, KadNetwork
 from oracles import pointing_at, ring_successors
 
 
@@ -253,6 +254,24 @@ def test_xor_closest_dense_clusters():
             count = rng.randint(0, len(ids) + 2)
             assert xor_closest(ids, key, count) == \
                 xor_oracle(ids, key, count)
+
+
+def test_xor_closest_on_every_kad_contact_list():
+    """Every node's contact list in a built overlay, with keys on, next
+    to and between its contacts, and beyond either end of the list."""
+    net = KadNetwork(200, 0.2, seed=4)
+    rng = random.Random(23)
+    top = net.space - 1
+    for v, node in net.nodes.items():
+        ids = node.sorted_contacts
+        keys = [v, max(0, v - 1), min(top, v + 1),
+                max(0, ids[0] - 1), 0, min(top, ids[-1] + 1), top]
+        keys += [max(0, u - 1) for u in rng.sample(ids, 2)]
+        keys += [rng.randrange(net.space) for _ in range(3)]
+        for key in keys:
+            for count in (1, BETA, net.k, len(ids) - 1):
+                assert xor_closest(ids, key, count) == \
+                    xor_oracle(ids, key, count)
 
 
 def test_sample_ids_distinct_and_in_range():

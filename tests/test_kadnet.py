@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from dhtsim.kadnet import (
     BETA,
     MODES,
     KadNetwork,
+    KadNode,
     LookupGraph,
     bucket_insert,
     credit_reputation,
@@ -16,8 +18,9 @@ from dhtsim.kadnet import (
     kad_lookup,
     pollution_fraction,
     warmup,
+    _iterate,
 )
-from oracles import truth_root
+from oracles import bootstrap_contacts, random_key, truth_root
 
 
 def fig2_graph():
@@ -245,6 +248,13 @@ class TestReplicaRoots:
         # 100 expected per key, sd about 10
         assert all(50 <= c <= 150 for c in hits.values())
 
+    @pytest.mark.parametrize("tolerance_bits", [0, 1, 8, 20, 32])
+    def test_random_key_draws_as_the_sorted_set_rule(self, tolerance_bits):
+        net = KadNetwork(80, seed=12, tolerance_bits=tolerance_bits)
+        rng, oracle_rng = random.Random(7), random.Random(7)
+        for _ in range(50):
+            assert net.random_key(rng) == random_key(net, oracle_rng)
+
     def test_build_validation(self):
         with pytest.raises(ValueError):
             KadNetwork(1)
@@ -263,6 +273,46 @@ class TestReplicaRoots:
         # the ends of both ranges are accepted
         KadNetwork(10, k=1, tolerance_bits=0)
         KadNetwork(10, bits=8, tolerance_bits=8)
+
+
+class TestBuild:
+    def test_seed_contacts_draw_as_sampling_the_others(self):
+        # every index: the first, the middle and the last id included
+        net = KadNetwork(40, 0.2, seed=5)
+        assert net.bootstrap == 6
+        for v in net.ids:
+            oracle_rng = random.Random()
+            oracle_rng.setstate(net.rng.getstate())
+            want = bootstrap_contacts(oracle_rng, net.ids, v, net.bootstrap)
+            net.nodes[v] = KadNode(v)
+            net._seed_contacts(v)
+            assert net.nodes[v].sorted_contacts == sorted(want)
+            assert net.rng.getstate() == oracle_rng.getstate()
+
+    def test_lookup_graph_changes_no_step(self):
+        """_iterate with and without a lookup graph queries, files and
+        nominates alike, so join self-lookups can skip the graph."""
+        net = KadNetwork(120, 0.25, seed=6)
+        rng = random.Random(8)
+        honest = net.honest_nodes()
+        for mode in MODES:
+            for attacked in (False, True):
+                q = rng.choice(honest)
+                key = net.random_key(rng)
+                roots = net.replica_roots(key)
+                with_graph, without = copy.deepcopy(net), copy.deepcopy(net)
+                graph = LookupGraph(q)
+                got = _iterate(with_graph, q, key, mode, attacked, roots,
+                               graph)
+                assert _iterate(without, q, key, mode, attacked,
+                                roots) == got
+                assert graph.vertices >= got[1]
+                assert with_graph.clock == without.clock
+                assert with_graph.rng.getstate() == without.rng.getstate()
+                for v, node in with_graph.nodes.items():
+                    assert node.last_seen == without.nodes[v].last_seen
+                    assert node.sorted_contacts == \
+                        without.nodes[v].sorted_contacts
 
 
 class TestLookup:
@@ -394,7 +444,7 @@ class TestLookup:
         rng = random.Random(2)
         q = net.honest_nodes()[0]
         node_q = net.nodes[q]
-        gone = max(node_q.contacts(),
+        gone = max(node_q.sorted_contacts,
                    key=lambda u: net.stores[q].score(u))
         assert gone in net.stores[q].counts
         net.leave(gone)

@@ -1,13 +1,17 @@
-"""Pinned outcome digests of the benchmark's seed-1 runs.
+"""Pinned outcome digests of the benchmark's fixed-seed runs.
 
 Each workload's digest hashes the outcome trail of its first round:
 every lookup's answer, every churn event, every exchange epoch and
 every grid point.  A change meant to leave outcomes alone must keep
 these prefixes; a change that moves outcomes updates them and says why.
-Every workload is pinned at its --small size; the two Halo workloads
-and kad-attack are pinned at full size too, which reaches ring
-wrap-around, finger bucket and k-bucket edge cases that the small
-overlays rarely do.
+Every workload is pinned at its --small size for seed 1; the two Halo
+workloads and kad-attack are pinned at full size too, which reaches
+ring wrap-around, finger bucket and k-bucket edge cases that the small
+overlays rarely do.  kad-attack is pinned at full size for seed 2 as
+well, so the XOR-closest search and the join self-lookups meet a second
+id draw.  A run that prints a problem line fails with that line, so a
+crashing operation names its exception instead of only moving the
+digest.
 """
 
 import os
@@ -31,14 +35,21 @@ FULL_SIZE_DIGESTS = {
     "kad-attack": "bc376fdb15a2",
 }
 
+SEED_TWO_FULL_SIZE_DIGESTS = {
+    "kad-attack": "273ab45f25b5",
+}
 
-def seed_one_digest(workload, *flags):
+
+def seed_digest(workload, seed, *flags):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--seed", "1", "--seconds", "1"]
+         "--workload", workload, "--seed", str(seed), "--seconds", "1"]
         + list(flags),
         capture_output=True, text=True, cwd=ROOT, timeout=300, check=True)
-    digests = [line.split()[1] for line in proc.stdout.splitlines()
+    lines = proc.stdout.splitlines()
+    problems = [line for line in lines if line.startswith("problem:")]
+    assert not problems, "\n".join(problems)
+    digests = [line.split()[1] for line in lines
                if line.startswith("digest ")]
     assert len(digests) == 1
     return digests[0]
@@ -46,9 +57,15 @@ def seed_one_digest(workload, *flags):
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
 def test_small_seed_one_digest(workload):
-    assert seed_one_digest(workload, "--small").startswith(DIGESTS[workload])
+    assert seed_digest(workload, 1, "--small").startswith(DIGESTS[workload])
 
 
 @pytest.mark.parametrize("workload", sorted(FULL_SIZE_DIGESTS))
 def test_full_size_seed_one_digest(workload):
-    assert seed_one_digest(workload).startswith(FULL_SIZE_DIGESTS[workload])
+    assert seed_digest(workload, 1).startswith(FULL_SIZE_DIGESTS[workload])
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_TWO_FULL_SIZE_DIGESTS))
+def test_full_size_seed_two_digest(workload):
+    assert seed_digest(workload, 2).startswith(
+        SEED_TWO_FULL_SIZE_DIGESTS[workload])

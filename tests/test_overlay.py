@@ -21,7 +21,7 @@ def test_both_overlays_draw_members_alike():
     assert halo.honest_nodes() == kad.honest_nodes()
     assert halo.stores.keys() == kad.stores.keys()
     for v, store in halo.stores.items():
-        assert store._rng.getstate() == kad.stores[v]._rng.getstate()
+        assert store.seed == kad.stores[v].seed
 
 
 @OVERLAYS

@@ -70,6 +70,33 @@ def test_break_tie_fresh_tie_uniform_over_seeds():
         assert abs(hits[c] / 2000 - 0.25) < 0.05
 
 
+def test_break_tie_picks_as_an_rng_built_up_front():
+    """The store builds its rng at the first tie; its picks are those of
+    random.Random(seed) built with the store, over repeated and new tie
+    sets and a forgotten contact."""
+    sets = random.Random(12)
+    pool = list("abcdefgh")
+    for seed in (0, 5, 2 ** 29 + 3):
+        st = ReputationStore(seed=seed)
+        assert st.seed == seed
+        eager = random.Random(seed)
+        memo = {}
+        for step in range(300):
+            tied = sets.sample(pool, sets.randint(1, 4))
+            if len(tied) == 1:
+                want = tied[0]
+            else:
+                sig = frozenset(tied)
+                if sig not in memo:
+                    memo[sig] = tied[eager.randrange(len(tied))]
+                want = memo[sig]
+            assert st.break_tie(tied) == want
+            if step == 150:
+                st.forget("c")
+                memo = {sig: pick for sig, pick in memo.items()
+                        if "c" not in sig}
+
+
 def test_ewma_exact_decay():
     s = 0.5
     for j in range(1, 20):
