@@ -98,6 +98,8 @@ def use_based_targets(ring, attacker, m):
     to m victims, one per offset, skipping offsets whose pointing
     interval holds no node.
     """
+    if attacker not in ring:
+        raise ValueError("attacker %r is not a live id" % (attacker,))
     n = len(ring)
     top = int(math.log2(n))
     if not 1 <= m <= top:

@@ -45,7 +45,7 @@ class OscillationModel:
         self.lookups = lookups
 
 
-def simulate_oscillation(model, strategy, rng=None):
+def simulate_oscillation(model, strategy):
     """Expected attacks and the (score, Pr[A], p) trajectory.
 
     Each lookup selects the attacker with probability
@@ -53,10 +53,8 @@ def simulate_oscillation(model, strategy, rng=None):
     into an attack probability p, and the attacked total accumulates
     Pr[A] * p.  The attacker's result is honest (1) exactly when it is
     not attacking, so its score moves by the EWMA rule toward 1 - p,
-    weighted by the chance it was selected and observed at all.  By
-    default the recursion is deterministic in expectation; passing an
-    rng samples selection and attack outcomes instead, for
-    cross-checking the recursion.
+    weighted by the chance it was selected and observed at all, so the
+    recursion is deterministic in expectation.
 
     The loop is specialised to its two scores.  s_h**beta, the strategy's
     decide and 1 - alpha are computed once; each step does the rest
@@ -88,13 +86,8 @@ def simulate_oscillation(model, strategy, rng=None):
         if not 0.0 <= p <= 1.0:
             raise ValueError("strategy emitted probability outside [0, 1]")
         record((s, pra, p))
-        if rng is None:
-            total += pra * p
-            s += pra * (alpha * (1.0 - p) + keep * s - s)
-        elif rng.random() < pra:
-            attacked = rng.random() < p
-            total += attacked
-            s = alpha * (0.0 if attacked else 1.0) + keep * s
+        total += pra * p
+        s += pra * (alpha * (1.0 - p) + keep * s - s)
     return total, trajectory
 
 

@@ -102,6 +102,19 @@ class LookupGraph:
         self.vertices.add(v)
         self.out.setdefault(u, []).append(v)
 
+    def add_query(self, queried, returned):
+        """Fold one query's results into the graph.
+
+        A queried node not yet in the graph came from the querier's own
+        contacts, so it points at the querier; every returned contact
+        points at whoever returned it, adding vertices only when new so
+        duplicate answers become parallel paths.
+        """
+        if queried not in self.vertices:
+            self.add_edge(queried, self.q)
+        for b in returned:
+            self.add_edge(b, queried)
+
 
 class KadLookupOutcome:
     """Result of one iterative lookup, with the evidence to score it."""
@@ -255,22 +268,6 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
     last_seen[candidate] = net.clock
 
 
-def graph_step(graph, q, step, queried, returned):
-    """Fold one query's results into the lookup graph.
-
-    First-step queries point at the querying node itself; every
-    returned contact points at whoever returned it, adding vertices
-    only when new so duplicate answers become parallel paths.
-    """
-    if step == 0:
-        graph.add_edge(queried, q)
-    else:
-        graph.vertices.add(queried)
-    for b in returned:
-        graph.add_edge(b, queried)
-    return graph
-
-
 def credit_reputation(q, graph, closest_root):
     """Vertices on returning paths from the found root, by depth-first
     walk.  Each vertex is visited once, the walk never crosses the
@@ -404,9 +401,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
                 if answer not in returned and answer not in (v, q):
                     returned.append(answer)
             if graph is not None:
-                graph_step(graph, q,
-                           0 if v not in graph.vertices else step,
-                           v, returned)
+                graph.add_query(v, returned)
             bucket_insert(net, node_q, v, reds=reds)
             if v not in malicious:
                 bucket_insert(net, node_v, q, active=False)
@@ -432,6 +427,8 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
+    if not 0 <= key < net.space:
+        raise ValueError("key outside [0, 2**bits)")
     attacked = net.attack_coin(q, policy)
     store = net.stores[q]
     roots = net.replica_roots(key)

@@ -4,66 +4,48 @@ Nodes holding the same finger swap their first-hand scores for it at
 epoch boundaries and fold the received reports into a shared score.
 Three aggregation rules are provided: plain average, median, and a
 drop-off rule that admits a received score with probability
-1 - |received - own| and takes the median of the admitted bin, so
-reports far from the node's own observations rarely count.  Colluding
-holders report values crafted against whichever rule is in use.
+1 - |received - own| and takes the median of the admitted reports, so
+reports far from the node's own observations rarely count.
+
+Colluding holders report values crafted against whichever rule is in
+use.  Against average and median they report their goal outright.
+Against drop-off they send the grid point s / GRID_STEPS whose
+closed-form expected aggregate pulls hardest toward their goal;
+_dropoff_grid evaluates that closed form at every grid point at once.
 """
 
 import random
 import statistics
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from math import comb
 
 METHODS = ("average", "median", "dropoff")
 GRID_STEPS = 200   # the drop-off forger searches reports s / GRID_STEPS
+_GRID = tuple(s / GRID_STEPS for s in range(GRID_STEPS + 1))
 
 
-def _canon_method(method):
-    m = method.lower().replace("-", "")
-    if m not in METHODS:
+def _check_method(method):
+    if method not in METHODS:
         raise ValueError("unknown aggregation method: %r" % (method,))
-    return m
+    return method
 
 
 def _clamp(value):
     return min(1.0, max(0.0, value))
 
 
-class ScoringBin:
-    """Received scores admitted for one finger.
-
-    The holder's own score anchors the admission weight but is never
-    itself an entry; an empty bin falls back to it.
-    """
-
-    def __init__(self, own):
-        self.own = _clamp(own)
-        self.entries = []
-
-    def offer(self, value, rng):
-        """Admit value with probability 1 - |value - own|."""
-        value = _clamp(value)
-        if rng.random() < 1.0 - abs(value - self.own):
-            self.entries.append(value)
-            return True
-        return False
-
-    def median(self):
-        if not self.entries:
-            return self.own
-        return statistics.median(self.entries)
-
-
 def aggregate(method, own, received, rng=None):
     """Fold received scores for a finger into one shared score.
 
-    Average and median run over the raw reports; drop-off builds a
-    scoring bin by the admission rule and takes its median.  With
+    Average and median run over the raw reports.  Drop-off admits each
+    report in turn with probability 1 - |report - own|, one draw of rng
+    per report, and takes the median of the admitted ones.  The node's
+    own score anchors admission but is never itself admitted.  With
     nothing received (or nothing admitted) the node keeps its own
     first-hand score.
     """
-    method = _canon_method(method)
+    _check_method(method)
     own = _clamp(own)
     received = [_clamp(v) for v in received]
     if not received:
@@ -74,33 +56,8 @@ def aggregate(method, own, received, rng=None):
         return statistics.median(received)
     if rng is None:
         rng = random.Random(0)
-    bin_ = ScoringBin(own)
-    for v in received:
-        bin_.offer(v, rng)
-    return bin_.median()
-
-
-def expected_dropoff(n_h, n_m, r_h, r_m, r_k):
-    """Closed-form expectation of the drop-off aggregate.
-
-    n_h honest reporters all say r_h, n_m malicious reporters all say
-    r_m, and the receiving node's own score is r_k.  Returns (p, q, e):
-    p is the chance the admitted honest reports outnumber the admitted
-    malicious ones (the bin median lands on r_h), q the chance of a
-    nonzero tie (median averages the two values), and e the expected
-    aggregate with the remaining probability mass landing on r_m.
-    """
-    _check_dropoff(n_h, n_m, r_h, r_m, r_k)
-    (p,), (q,), (e,) = _dropoff_grid(n_h, r_h, _Colluders(n_m, r_k, [r_m]))
-    return p, q, e
-
-
-def _check_dropoff(n_h, n_m, *scores):
-    if n_h < 0 or n_m < 0:
-        raise ValueError("negative reporter count")
-    for r in scores:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError("score outside [0, 1]")
+    admitted = [v for v in received if rng.random() < 1.0 - abs(v - own)]
+    return statistics.median(admitted) if admitted else own
 
 
 def _admission(n, D):
@@ -137,19 +94,18 @@ class _Colluders:
         return self._below[i - 1]
 
 
-def _grid_colluders(n_m, r_k, steps):
-    """The colluder columns over the grid points s / steps, s = 0..steps."""
-    return _Colluders(n_m, r_k, [s / steps for s in range(steps + 1)])
-
-
 def _dropoff_grid(n_h, r_h, colluders):
-    """expected_dropoff's (p, q, e) for n_h honest reports of r_h against
+    """The drop-off closed form for n_h honest reports of r_h against
     every colluder report r_m in colluders.R at once, as three columns
-    indexed like R.
+    (P, Q, E) indexed like R.
 
-    A point's entries come from the same float operations in the same
-    order whatever else R holds, and whether or not the colluder columns
-    were built for an earlier search.
+    P is the chance the admitted honest reports outnumber the admitted
+    colluder ones (the bin median lands on r_h), Q the chance of a
+    nonzero tie (the median averages the two values), and E the expected
+    aggregate, the remaining probability mass landing on r_m.  A point's
+    entries come from the same float operations in the same order
+    whatever else R holds, and whether or not the colluder columns were
+    built for an earlier search.
     """
     n_m, R = colluders.n_m, colluders.R
     admit_h = [row[0] for row in _admission(n_h, [abs(r_h - colluders.r_k)])]
@@ -168,43 +124,14 @@ def _dropoff_grid(n_h, r_h, colluders):
     return P, Q, E
 
 
-def adversarial_report(method, target_own_score, truth, goal=None,
-                       n_honest=5, n_malicious=6, steps=GRID_STEPS):
-    """Score a colluding reporter sends to drag the aggregate toward
-    goal (1.0 promotes the finger, 0.0 slanders it; by default it
-    pushes away from the honest consensus).
-
-    Average and median take extremal reports at face value.  Drop-off
-    admits a report with probability 1 - |report - own|, so the optimum
-    trades admission odds against pull and sits strictly inside the
-    unit interval.  It is the first of the steps + 1 grid points
-    s / steps with the most extreme closed-form expectation; the grid
-    is evaluated column-wise, all points per term of the closed form.
-    Each call builds its own colluder columns; SharedExchange shares
-    them between searches with the same colluder count and own score.
-    """
-    return _forge(_grid_colluders, method, target_own_score, truth, goal,
-                  n_honest, n_malicious, steps)
-
-
-def _forge(colluders, method, target_own_score, truth, goal, n_honest,
-           n_malicious, steps):
-    """adversarial_report, taking the drop-off grid's colluder columns
-    from colluders(n_malicious, target_own_score, steps)."""
-    method = _canon_method(method)
-    if steps < 1:
-        raise ValueError("need at least one grid step")
-    if goal is None:
-        goal = 1.0 if truth < 0.5 else 0.0
-    elif not 0.0 <= goal <= 1.0:
-        raise ValueError("goal outside [0, 1]")
-    if method in ("average", "median"):
-        return goal
-    _check_dropoff(n_honest, n_malicious, truth, target_own_score)
-    side = colluders(n_malicious, target_own_score, steps)
-    _, _, E = _dropoff_grid(n_honest, truth, side)
+def _forge(colluders, n_honest, truth, goal):
+    """The point of colluders.R a colluder reports against n_honest
+    honest reports of truth: the first point with the most extreme
+    expected drop-off aggregate, the largest when goal >= 0.5 (promote
+    the finger), else the smallest (slander it)."""
+    _, _, E = _dropoff_grid(n_honest, truth, colluders)
     extreme = max if goal >= 0.5 else min
-    return side.R[extreme(range(len(side.R)), key=E.__getitem__)]
+    return colluders.R[extreme(range(len(colluders.R)), key=E.__getitem__)]
 
 
 class SharedExchange:
@@ -229,17 +156,26 @@ class SharedExchange:
 
     def __init__(self, net, method="dropoff", seed=0, adversarial=True):
         self.net = net
-        self.method = _canon_method(method)
+        self.method = _check_method(method)
         self.rng = random.Random(seed)
         self.adversarial = adversarial
         self.reports = {}     # finger -> {honest sender: latest value}
+        # the colluder columns of the group being forged, by (n_bad, own);
+        # run_epoch empties it before the next group
+        self._columns = columns = {}
+
+        def forge(own, truth, goal, n_received, n_bad):
+            if method != "dropoff":
+                return goal
+            side = columns.get((n_bad, own))
+            if side is None:
+                side = columns[n_bad, own] = _Colluders(n_bad, own, _GRID)
+            return _forge(side, n_received, truth, goal)
+
         # forged reports by rounded inputs; one bounded cache per exchange,
-        # so no two exchanges share state.  Its misses share the colluder
-        # columns of the group being forged, which run_epoch drops before
-        # the next group.
-        self._colluders = lru_cache(maxsize=1)(_grid_colluders)
-        self.forged_report = lru_cache(maxsize=65536)(
-            partial(_forge, self._colluders))
+        # so no two exchanges share state.  forge closes over columns, not
+        # self, so the cache keeps no reference cycle through the exchange.
+        self.forged_report = lru_cache(maxsize=65536)(forge)
 
     def finger_holders(self):
         """Map each live finger to the nodes holding it, one ring scan."""
@@ -310,10 +246,10 @@ class SharedExchange:
                 truth = statistics.fmean(received) if received else own
                 goal = 1.0 if net.is_malicious(f) else 0.0
                 forged[i] = self.forged_report(
-                    self.method, round(own, 2), round(truth, 2), goal,
-                    len(received), n_bad, GRID_STEPS)
+                    round(own, 2), round(truth, 2), goal, len(received),
+                    n_bad)
             # drop this group's columns before the next group's are built
-            self._colluders.cache_clear()
+            self._columns.clear()
         for i, j in enumerate(receivers):
             f, _, n_bad = fingers[at[i]]
             received = others(i) + [forged[i]] * n_bad

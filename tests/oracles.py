@@ -5,6 +5,9 @@ general, checked form.
 """
 
 from bisect import bisect_right
+from math import comb
+
+from dhtsim.sharedrep import GRID_STEPS, METHODS
 
 
 def ring_successors(ring, nid, count):
@@ -110,3 +113,74 @@ def selection_prob(scores, beta_bias):
     weights = [s ** beta_bias for s in scores]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def dropoff_bin(own, received, rng):
+    """The drop-off scoring bin: each report in turn, admitted with
+    probability 1 - |report - own| on one draw of rng."""
+    return [v for v in received if rng.random() < 1.0 - abs(v - own)]
+
+
+def _admission(n, r, r_k):
+    """Chance that exactly i of n reports of r enter r_k's bin, per i."""
+    d = abs(r - r_k)
+    return [comb(n, i) * (1.0 - d) ** i * d ** (n - i)
+            for i in range(n + 1)]
+
+
+def expected_dropoff(n_h, n_m, r_h, r_m, r_k):
+    """Closed-form expectation of the drop-off aggregate, one point.
+
+    n_h honest reporters all say r_h, n_m malicious reporters all say
+    r_m, and the receiving node's own score is r_k.  Returns (p, q, e):
+    p is the chance the admitted honest reports outnumber the admitted
+    malicious ones (the bin median lands on r_h), q the chance of a
+    nonzero tie (median averages the two values), and e the expected
+    aggregate with the remaining probability mass landing on r_m.
+    """
+    if n_h < 0 or n_m < 0:
+        raise ValueError("negative reporter count")
+    for r in (r_h, r_m, r_k):
+        if not 0.0 <= r <= 1.0:
+            raise ValueError("score outside [0, 1]")
+    admit_h = _admission(n_h, r_h, r_k)
+    admit_m = _admission(n_m, r_m, r_k)
+    p = 0.0
+    for i in range(1, n_h + 1):
+        # fewer than i malicious reports admitted; past n_m + 1 that is
+        # the whole pmf
+        p += admit_h[i] * sum(admit_m[:min(i, n_m + 1)])
+    q = sum(admit_h[i] * admit_m[i] for i in range(1, min(n_h, n_m) + 1))
+    e = p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
+    return p, q, e
+
+
+def adversarial_report(method, target_own_score, truth, goal=None,
+                       n_honest=5, n_malicious=6, steps=GRID_STEPS):
+    """Score a colluding reporter sends to drag the aggregate toward
+    goal (1.0 promotes the finger, 0.0 slanders it; by default it
+    pushes away from the honest consensus).
+
+    Average and median take the goal at face value.  Against drop-off
+    it is the first of the steps + 1 grid points s / steps with the
+    most extreme expected_dropoff, searched one point at a time.
+    """
+    if method not in METHODS:
+        raise ValueError("unknown aggregation method: %r" % (method,))
+    if steps < 1:
+        raise ValueError("need at least one grid step")
+    if goal is None:
+        goal = 1.0 if truth < 0.5 else 0.0
+    elif not 0.0 <= goal <= 1.0:
+        raise ValueError("goal outside [0, 1]")
+    if method != "dropoff":
+        return goal
+    best_r = best_val = None
+    for s in range(steps + 1):
+        r = s / steps
+        _, _, e = expected_dropoff(n_honest, n_malicious, truth, r,
+                                   target_own_score)
+        val = e if goal >= 0.5 else -e
+        if best_val is None or val > best_val:
+            best_val, best_r = val, r
+    return best_r

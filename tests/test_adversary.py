@@ -112,6 +112,15 @@ def test_use_based_targets_perfect_ring():
         use_based_targets(ring, attacker, 5)
 
 
+def test_use_based_targets_reject_an_attacker_off_the_ring():
+    # an id that is not live used to get victims all the same
+    ring = Ring(range(0, 4096, 37), 12)
+    for attacker in (5, 38, 4096, -37):
+        with pytest.raises(ValueError):
+            use_based_targets(ring, attacker, 3)
+    assert use_based_targets(ring, 37, 3)
+
+
 def test_use_based_targets_are_real_knuckles():
     rng = random.Random(13)
     from dhtsim.idspace import sample_ids

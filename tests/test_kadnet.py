@@ -14,7 +14,6 @@ from dhtsim.kadnet import (
     LookupGraph,
     bucket_insert,
     credit_reputation,
-    graph_step,
     kad_lookup,
     pollution_fraction,
     warmup,
@@ -27,26 +26,26 @@ def fig2_graph():
     """The worked lookup graph: three first-step queries, two deeper
     levels, root r4 returned by two different contacts."""
     g = LookupGraph("q")
-    graph_step(g, "q", 0, "a27", ["b12", "b15"])
-    graph_step(g, "q", 0, "a22", ["b12", "b10"])
-    graph_step(g, "q", 0, "a25", ["b10", "b14"])
-    graph_step(g, "q", 1, "b12", ["b30", "b15"])
-    graph_step(g, "q", 1, "b10", ["r4"])
-    graph_step(g, "q", 1, "b14", ["r4", "r7"])
+    g.add_query("a27", ["b12", "b15"])
+    g.add_query("a22", ["b12", "b10"])
+    g.add_query("a25", ["b10", "b14"])
+    g.add_query("b12", ["b30", "b15"])
+    g.add_query("b10", ["r4"])
+    g.add_query("b14", ["r4", "r7"])
     return g
 
 
 class TestLookupGraph:
     def test_first_step_edges_point_at_querier(self):
         g = LookupGraph("q")
-        graph_step(g, "q", 0, "a1", ["b1", "b2"])
+        g.add_query("a1", ["b1", "b2"])
         assert g.out["a1"] == ["q"]
         assert g.out["b1"] == ["a1"] and g.out["b2"] == ["a1"]
 
     def test_later_steps_add_no_querier_edge(self):
         g = LookupGraph("q")
-        graph_step(g, "q", 0, "a1", ["b1"])
-        graph_step(g, "q", 1, "b1", ["c1"])
+        g.add_query("a1", ["b1"])
+        g.add_query("b1", ["c1"])
         assert g.out["b1"] == ["a1"]   # no edge to q
         assert g.out["c1"] == ["b1"]
 
@@ -68,8 +67,8 @@ class TestLookupGraph:
 
     def test_cycle_terminates(self):
         g = LookupGraph("q")
-        graph_step(g, "q", 0, "a", ["b"])
-        graph_step(g, "q", 1, "b", ["a"])   # ancestor returned: cycle
+        g.add_query("a", ["b"])
+        g.add_query("b", ["a"])   # ancestor returned: cycle
         assert credit_reputation("q", g, "b") == {"a", "b"}
 
     def test_missing_root_raises(self):
@@ -354,6 +353,25 @@ class TestLookup:
         net = KadNetwork(50, seed=5)
         with pytest.raises(ValueError):
             kad_lookup(net, net.honest_nodes()[0], 17, mode="turbo")
+
+    def test_key_outside_id_space_rejected(self):
+        # such a key has no root, and its lookup used to charge q's
+        # contacts failed uses anyway
+        net = KadNetwork(40, 0.2, seed=1, bits=16)
+        q = net.honest_nodes()[0]
+        counts = {v: dict(st.counts) for v, st in net.stores.items()}
+        serial = net.serial
+        for key in (1 << 16, -1, 3 << 20):
+            for mode in MODES:
+                with pytest.raises(ValueError):
+                    kad_lookup(net, q, key, mode=mode,
+                               policy=AttackPolicy(1.0, seed=1))
+        assert net.serial == serial
+        assert {v: st.counts for v, st in net.stores.items()} == counts
+        # the ends of the space are still keys
+        for key in (0, (1 << 16) - 1):
+            kad_lookup(net, q, key)
+        assert net.serial == serial + 2
 
     def test_colluder_answers_are_closer_colluders(self):
         """Attacked or not, a colluder with closer colluders available

@@ -4,12 +4,12 @@ Each workload's digest hashes the outcome trail of its first round:
 every lookup's answer, every churn event, every exchange epoch and
 every grid point.  A change meant to leave outcomes alone must keep
 these prefixes; a change that moves outcomes updates them and says why.
-Every workload is pinned at its --small size for seed 1; the two Halo
-workloads and kad-attack are pinned at full size too, which reaches
-ring wrap-around, finger bucket and k-bucket edge cases that the small
-overlays rarely do.  kad-attack is pinned at full size for seed 2 as
-well, so the XOR-closest search and the join self-lookups meet a second
-id draw.  A run that prints a problem line fails with that line, so a
+Every workload is pinned at its --small size and at full size for
+seed 1.  Full size reaches ring wrap-around, finger bucket and k-bucket
+edge cases that the small overlays rarely do, and runs the oscillation
+sweeps' full grids.  kad-attack and halo-shared-churn are pinned at full
+size for seed 2 as well, so the XOR-closest search, the join
+self-lookups and the drop-off forger meet a second id draw.  A run that prints a problem line fails with that line, so a
 crashing operation names its exception instead of only moving the
 digest.
 """
@@ -33,9 +33,11 @@ FULL_SIZE_DIGESTS = {
     "halo-attack": "8c65801714f6",
     "halo-shared-churn": "8fa3a56dac52",
     "kad-attack": "bc376fdb15a2",
+    "oscillation-sweep": "63b53c14e87b",
 }
 
 SEED_TWO_FULL_SIZE_DIGESTS = {
+    "halo-shared-churn": "bc4d55777cc2",
     "kad-attack": "273ab45f25b5",
 }
 

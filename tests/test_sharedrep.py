@@ -3,7 +3,6 @@ import random
 import statistics
 import weakref
 from functools import lru_cache
-from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -13,13 +12,13 @@ from dhtsim.halonet import HaloNetwork, halo_lookup
 from dhtsim import sharedrep
 from dhtsim.idspace import Ring
 from dhtsim.sharedrep import (
-    ScoringBin,
     SharedExchange,
-    adversarial_report,
+    _Colluders,
+    _dropoff_grid,
+    _forge,
     aggregate,
-    expected_dropoff,
 )
-from oracles import knuckles
+from oracles import adversarial_report, dropoff_bin, expected_dropoff, knuckles
 
 
 def ring_shim(ids, bits):
@@ -77,20 +76,46 @@ def test_aggregate_empty_falls_back_to_own():
     rng = random.Random(0)
     for method in ("average", "median", "dropoff"):
         assert aggregate(method, 0.42, [], rng) == 0.42
-    with pytest.raises(ValueError):
-        aggregate("mode", 0.5, [0.5])
+    # methods are named exactly as in METHODS
+    for method in ("mode", "Dropoff", "drop-off", "MEDIAN"):
+        with pytest.raises(ValueError):
+            aggregate(method, 0.5, [0.5])
+        with pytest.raises(ValueError):
+            SharedExchange(ring_shim([1, 2], 4), method)
+
+
+class Draws:
+    """An rng whose every draw is the same value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
 
 
 def test_scoring_bin_admission():
-    # a report equal to the own score is always admitted, a report at
-    # distance one never is
+    # a report equal to the own score is always admitted, even on the
+    # draw closest to one; a report at distance one never is, even on
+    # a draw of zero, and an empty bin falls back to the own score
+    top, zero = Draws(1.0 - 2 ** -53), Draws(0.0)
+    assert aggregate("dropoff", 0.5, [0.2, 0.5, 0.9, 0.5001, 0.5], top) == 0.5
+    assert aggregate("dropoff", 0.0, [1.0, 0.9, 1.0, 0.7], zero) == 0.8
+    assert aggregate("dropoff", 0.0, [1.0] * 5, zero) == 0.0
+    # the bin's median, from one draw per clamped report in order
     rng = random.Random(1)
-    always = ScoringBin(0.5)
-    never = ScoringBin(0.0)
     for _ in range(500):
-        assert always.offer(0.5, rng)
-        assert not never.offer(1.0, rng)
-    assert never.median() == 0.0
+        own = rng.choice([0.0, 1.0, rng.random(), rng.uniform(-0.5, 1.5)])
+        received = [rng.choice([own, rng.random(), rng.uniform(-0.5, 1.5)])
+                    for _ in range(rng.randrange(1, 12))]
+        seed = rng.random()
+        mine, theirs = random.Random(seed), random.Random(seed)
+        anchor = min(1.0, max(0.0, own))
+        admitted = dropoff_bin(
+            anchor, [min(1.0, max(0.0, v)) for v in received], theirs)
+        want = statistics.median(admitted) if admitted else anchor
+        assert aggregate("dropoff", own, received, mine) == want
+        assert mine.getstate() == theirs.getstate()
 
 
 def test_expected_dropoff_frozen_values():
@@ -108,9 +133,8 @@ def test_expected_dropoff_bin_composition():
     honest = malicious = 0
     trials = 20000
     for _ in range(trials):
-        b = ScoringBin(0.3)
-        honest += sum(b.offer(0.1, rng) for _ in range(5))
-        malicious += sum(b.offer(1.0, rng) for _ in range(6))
+        honest += len(dropoff_bin(0.3, [0.1] * 5, rng))
+        malicious += len(dropoff_bin(0.3, [1.0] * 6, rng))
     assert honest / trials == pytest.approx(4.0, abs=0.05)
     assert malicious / trials == pytest.approx(1.8, abs=0.05)
 
@@ -163,6 +187,11 @@ def test_adversarial_report_extremal_for_plain_methods():
     # default goal pushes away from the honest consensus
     assert adversarial_report("median", 0.3, 0.1) == 1.0
     assert adversarial_report("median", 0.7, 0.9) == 0.0
+    # and an exchange's forger reports its goal outright
+    for method in ("average", "median"):
+        ex = SharedExchange(ring_shim([1, 2], 4), method)
+        for goal in (0.0, 1.0):
+            assert ex.forged_report(0.3, 0.1, goal, 5, 6) == goal
 
 
 def test_adversarial_dropoff_interior_optimum():
@@ -185,8 +214,9 @@ def test_adversarial_dropoff_slander_symmetry():
 
 
 def test_adversarial_dropoff_is_exact_grid_argmax():
-    """The grid search returns exactly the first grid point at which
-    expected_dropoff pulls hardest toward the goal."""
+    """The exchange's drop-off forger returns exactly the first grid
+    point at which expected_dropoff pulls hardest toward the goal."""
+    ex = SharedExchange(ring_shim([1, 2], 4), "dropoff")
     rng = random.Random(13)
     for _ in range(150):
         n_h = rng.randint(0, 8)
@@ -199,9 +229,10 @@ def test_adversarial_dropoff_is_exact_grid_argmax():
                 _, _, e = expected_dropoff(n_h, n_m, truth, s / 200, own)
                 vals.append(e if goal >= 0.5 else -e)
             best = vals.index(max(vals))
-            report = adversarial_report("dropoff", own, truth, goal,
-                                        n_h, n_m)
+            report = ex.forged_report(own, truth, goal, n_h, n_m)
             assert report == best / 200
+            assert report == adversarial_report("dropoff", own, truth, goal,
+                                                n_h, n_m)
 
 
 def test_adversarial_report_argument_errors():
@@ -218,39 +249,10 @@ def test_adversarial_report_argument_errors():
     assert adversarial_report("dropoff", 0.3, 0.1, 1.0, steps=1) in (0.0, 1.0)
 
 
-def _pointwise_admission(n, r, r_k):
-    d = abs(r - r_k)
-    return [comb(n, i) * (1.0 - d) ** i * d ** (n - i)
-            for i in range(n + 1)]
-
-
-def _pointwise_dropoff(admit_h, n_m, r_h, r_m, r_k):
-    n_h = len(admit_h) - 1
-    admit_m = _pointwise_admission(n_m, r_m, r_k)
-    below = [sum(admit_m[:m]) for m in range(n_m + 2)]
-    p = 0.0
-    for i in range(1, n_h + 1):
-        p += admit_h[i] * below[min(i, n_m + 1)]
-    q = sum(admit_h[i] * admit_m[i] for i in range(1, min(n_h, n_m) + 1))
-    e = p * r_h + q * (r_h + r_m) / 2.0 + (1.0 - p - q) * r_m
-    return p, q, e
-
-
-def _pointwise_report(own, truth, goal, n_h, n_m, steps):
-    admit_h = _pointwise_admission(n_h, truth, own)
-    best_r = best_val = None
-    for s in range(steps + 1):
-        r = s / steps
-        _, _, e = _pointwise_dropoff(admit_h, n_m, truth, r, own)
-        val = e if goal >= 0.5 else -e
-        if best_val is None or val > best_val:
-            best_val, best_r = val, r
-    return best_r
-
-
 def test_grid_kernel_matches_pointwise_oracle():
-    """The column-wise grid equals, bit for bit, a search that evaluates
-    the closed form one point at a time and keeps the first extreme."""
+    """The column-wise grid equals, bit for bit, the closed form
+    evaluated one point at a time, and the forger's pick equals a
+    search over those points that keeps the first extreme."""
     rng = random.Random(29)
     cases = [(0, 1), (0, 6), (1, 1), (3, 1), (9, 1), (12, 3), (30, 12)]
     cases += [(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(90)]
@@ -260,15 +262,17 @@ def test_grid_kernel_matches_pointwise_oracle():
         # an own score equal to the honest one makes flat grids with ties
         truth = own if rng.random() < 0.3 else rng.randint(0, 100) / 100
         steps = rng.choice([1, 2, 7, 50, 200, 333])
-        admit_h = _pointwise_admission(n_h, truth, own)
-        for _ in range(3):
-            r_m = rng.choice([0.0, 1.0, own, rng.random()])
-            assert expected_dropoff(n_h, n_m, truth, r_m, own) == \
-                _pointwise_dropoff(admit_h, n_m, truth, r_m, own)
+        R = [s / steps for s in range(steps + 1)]
+        R += [rng.choice([0.0, 1.0, own, rng.random()]) for _ in range(3)]
+        colluders = _Colluders(n_m, own, R)
+        for point in zip(*_dropoff_grid(n_h, truth, colluders), R):
+            assert point[:3] == expected_dropoff(n_h, n_m, truth, point[3],
+                                                 own)
+        grid = _Colluders(n_m, own, R[:steps + 1])
         for goal in (0.0, 1.0):
-            assert adversarial_report("dropoff", own, truth, goal, n_h, n_m,
-                                      steps) == \
-                _pointwise_report(own, truth, goal, n_h, n_m, steps)
+            assert _forge(grid, n_h, truth, goal) == \
+                adversarial_report("dropoff", own, truth, goal, n_h, n_m,
+                                   steps)
 
 
 def test_exchange_broadcasts_only_changes():
@@ -389,8 +393,8 @@ def test_churn_leaves_no_departed_id_behind():
 
 class PerRequestExchange(SharedExchange):
     """The exchange forging one report per request in holder order, each
-    cache miss searching its grid from scratch: the oracle for the
-    grouped forging in SharedExchange.run_epoch."""
+    cache miss searching the grid point by point with the oracle: the
+    reference for the grouped forging in SharedExchange.run_epoch."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
