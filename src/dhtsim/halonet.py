@@ -156,9 +156,11 @@ class HaloNetwork(Overlay):
         super().leave(nid)
         self.joined.pop(nid, None)
         self.score_overrides.pop(nid, None)
-        # ids are never reused, so no store reads nid's counter again
+        # ids are never reused, so no table reads nid's entry again
         for store in self.stores.values():
             store.forget(nid)
+        for shared in self.score_overrides.values():
+            shared.pop(nid, None)
 
     def join(self, malicious=False):
         """Add one node under a fresh id (see Overlay.join).

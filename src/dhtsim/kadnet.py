@@ -25,9 +25,12 @@ is the shared core, overlay.Overlay; KadNetwork adds the contacts.
 
 Lookup accounting follows a per-lookup graph of who returned whom.
 When a lookup ends at the true closest replica root, a depth-first
-walk from that root credits every node on a returning path; everything
-else seen in the lookup records a miss.  A lookup whose querier is
-itself the true root tests no contact and records nothing.  A join
+walk from that root credits every node on a returning path; every
+other live contact the querier queried records a miss, and contacts
+it never queried record nothing.  Every credited node was queried: it
+returned the root, or is the root, which as the nearest live id is
+queried before the search can end.  A lookup whose querier is itself
+the true root tests no contact and records nothing.  A join
 self-lookup scores nothing, so it keeps no graph.
 """
 
@@ -199,24 +202,6 @@ class KadNetwork(Overlay):
         blocks = [b for b, _ in groupby(u >> shift for u in self.ids)]
         return rng.choice(blocks) << shift | rng.randrange(1 << shift)
 
-    def closest_colluders(self, key, count):
-        if not self.colluders:
-            return []
-        return xor_closest(self.colluders, key, count)
-
-    def colluders_within(self, key, floor_bits):
-        """All colluders agreeing with key in at least floor_bits
-        leading bits, as a sorted id list."""
-        if floor_bits <= 0:
-            return list(self.colluders)
-        if floor_bits > self.bits:
-            return []
-        width = 1 << (self.bits - floor_bits)
-        lo = key & ~(width - 1)
-        i = bisect_left(self.colluders, lo)
-        j = bisect_left(self.colluders, lo + width)
-        return self.colluders[i:j]
-
     def leave(self, nid):
         super().leave(nid)
         del self.nodes[nid]
@@ -285,10 +270,11 @@ def credit_reputation(q, graph, closest_root):
     return credited
 
 
-def _answer(net, v, key, attacked, mode, roots, truth):
+def _answer(net, v, key, attacked, mode, roots, truth, ranked):
     """v's reply to a query for key: the contacts it returns and the id
     it nominates as final answer, or None.  roots holds key's replica
-    roots and truth the closest of them (or None).
+    roots, truth the closest of them (or None), and ranked the POOL_CAP
+    colluders nearest key, nearest first.
 
     Replica roots identify themselves when queried.  Honest nodes
     normally return the closest contacts they know; under
@@ -298,28 +284,28 @@ def _answer(net, v, key, attacked, mode, roots, truth):
     ones.
 
     Colluders pollute: whether or not the lookup is under attack they
-    return the fellow colluders closest to the key, drawn from those at
-    least one bit closer to it than themselves (anything farther would
-    be ignored), and an attacked colluder nominates the colluder
-    closest to the key.  Only when no colluder can make progress does a
+    return a sample of the fellow colluders closest to the key, drawn
+    from those at least one bit closer to it than themselves (anything
+    farther would be ignored).  Those share more leading bits with key
+    than v does, and ids that agree with key above a given bit are
+    XOR-nearer it than every other id, so they are a prefix of ranked.
+    An attacked colluder nominates ranked[0], the colluder closest to
+    the key, and returns ranked[:BETA] when no colluder is closer than
+    itself.  Only when no colluder can make progress does a
     non-attacking colluder hand over the true root, returning and
     nominating it when it knows it, which protects its reputation.
     """
     node = net.nodes[v]
     own = v if v in roots else None
     if v in net.malicious:
-        floor = shared_prefix_bits(v, key, net.bits) + 1
-        closer = [m for m in net.colluders_within(key, floor) if m != v]
-        if closer:
-            closer.sort(key=lambda m: xor_distance(m, key))
-            pool = closer[:POOL_CAP]
+        limit = (1 << (v ^ key).bit_length()) >> 1
+        pool = [m for m in ranked if m ^ key < limit]
+        if pool:
             if len(pool) > BETA:
                 pool = net.rng.sample(pool, BETA)
-            # the colluder closest to the key is the nearest closer one
-            return pool, closer[0] if attacked else own
+            return pool, ranked[0] if attacked else own
         if attacked:
-            returned = net.closest_colluders(key, BETA)
-            return returned, returned[0]
+            return ranked[:BETA], ranked[0]
         if truth is not None and node.knows(truth):
             near = xor_closest(node.sorted_contacts, key, BETA)
             return [truth] + [u for u in near if u != truth][:BETA - 1], truth
@@ -336,18 +322,20 @@ def _answer(net, v, key, attacked, mode, roots, truth):
 
 
 def _iterate(net, q, key, mode, attacked, roots, graph=None):
-    """Core of the iterative search: returns nominations, queried,
-    dead, and step count.  roots lists key's replica roots, nearest
-    first, as replica_roots gives them.  When graph is a LookupGraph,
-    every query's results are folded into it; a lookup whose result
-    nobody scores passes none.
+    """Core of the iterative search: returns nominations, queried (the
+    departed contacts it found included) and step count.  roots lists
+    key's replica roots, nearest first, as replica_roots gives them.
+    When graph is a LookupGraph, every query's results are folded into
+    it; a lookup whose result nobody scores passes none.  The colluders
+    nearest key are ranked once, for every colluder that answers.
 
     Keeps a shortlist of the net.k closest contacts heard of, querying
     the ALPHA best unqueried entries each step: closest-first
     normally, or by q's own scores in the reputation modes.  The search
-    ends when the net.k closest live entries have all been queried.
-    Contacts observed dead are purged from the shortlist, q's buckets,
-    and q's score table.
+    ends when the net.k closest entries have all been queried.  A
+    contact found departed leaves the shortlist, q's buckets and q's
+    score table at once; dist keeps it, so no later reply puts it
+    back.
 
     q never enters its own shortlist, so no contact can return it; when
     q is itself a replica root it nominates itself instead, and can
@@ -355,6 +343,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
     """
     truth = roots[0] if roots else None
     roots = set(roots)
+    ranked = xor_closest(net.colluders, key, POOL_CAP)
     nodes = net.nodes
     malicious = net.malicious
     k = net.k
@@ -368,17 +357,10 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
     dist = {u: xor_distance(u, key) for u in node_q.sorted_contacts}
     shortlist = sorted([(d, u) for u, d in dist.items()])
     queried = set()
-    dead = set()
     nominated = {q} if q in roots else set()
     step = 0
     while True:
-        top = []
-        for d, u in shortlist:
-            if u not in dead:
-                top.append(u)
-                if len(top) == k:
-                    break
-        batch = [u for u in top if u not in queried]
+        batch = [u for _, u in shortlist[:k] if u not in queried]
         if not batch:
             break
         if reds:
@@ -388,13 +370,13 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
             node_v = nodes.get(v)
             if node_v is None:
                 # observed departure: forget the contact everywhere
-                dead.add(v)
+                shortlist.remove((dist[v], v))
                 node_q.drop(v)
                 if store is not None:
                     store.forget(v)
                 continue
             returned, answer = _answer(net, v, key, attacked, mode, roots,
-                                       truth)
+                                       truth, ranked)
             returned = [u for u in returned if u != q]
             if answer is not None:
                 nominated.add(answer)
@@ -410,7 +392,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
                     d = dist[b] = xor_distance(b, key)
                     insort(shortlist, (d, b))
         step += 1
-    return nominated, queried, dead, step
+    return nominated, queried, step
 
 
 def kad_lookup(net, q, key, mode="regular", policy=None):
@@ -419,11 +401,12 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
 
     The lookup succeeds when the closest root claimed to q is the true
     closest replica root; on success every node on a returning path is
-    credited.  Only contacts q actually selected for querying are
-    charged a use, so a contact's score is the fraction of times
-    selecting it led to the right root.  When q is itself the true
-    root it finds itself, the lookup succeeds, and nothing is recorded:
-    no contact could have returned q, so none is blamed or credited.
+    credited.  Only live contacts q actually queried are charged a use,
+    so a contact's score is the fraction of times selecting it led to
+    the right root; every credited node is one of them (see the module
+    docstring).  When q is itself the true root it finds itself, the
+    lookup succeeds, and nothing is recorded: no contact could have
+    returned q, so none is blamed or credited.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
@@ -434,7 +417,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
     graph = LookupGraph(q)
-    nominated, queried, dead, step = _iterate(
+    nominated, queried, step = _iterate(
         net, q, key, mode, attacked, roots, graph)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
                        default=None)
@@ -445,11 +428,8 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
         else:
             credited = set()
         for u in queried:
-            if u not in dead:
+            if u in net.nodes:
                 store.record(u, u in credited)
-        for u in credited:
-            if u not in queried and u not in dead:
-                store.record(u, True)
     return KadLookupOutcome(key, frozenset(u for u in nominated if u in roots),
                             closest_root, success, graph, step, queried)
 

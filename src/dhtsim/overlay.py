@@ -49,6 +49,8 @@ class Overlay:
 
     def join(self, malicious=False):
         """Add one node under a fresh uniform id, never reusing an id."""
+        if len(self._used_ids) >= self.space:
+            raise ValueError("every id in the space has been used")
         while True:
             nid = self.rng.randrange(self.space)
             if nid not in self._used_ids:

@@ -7,6 +7,7 @@ general, checked form.
 from bisect import bisect_right
 from math import comb
 
+from dhtsim.idspace import shared_prefix_bits
 from dhtsim.sharedrep import GRID_STEPS, METHODS
 
 
@@ -74,6 +75,24 @@ def truth_root(net, key):
     when no live id lies within search tolerance."""
     roots = net.replica_roots(key)
     return roots[0] if roots else None
+
+
+def xor_nearest(ids, key, count):
+    """The count ids nearest key by XOR distance, by sorting all of
+    them."""
+    return sorted(ids, key=lambda u: u ^ key)[:count]
+
+
+def closest_colluders(net, key, count):
+    """The count colluders nearest key by XOR distance."""
+    return xor_nearest(net.colluders, key, count)
+
+
+def colluders_within(net, key, floor_bits):
+    """All colluders agreeing with key in at least floor_bits leading
+    bits, by scanning every colluder."""
+    return [m for m in net.colluders
+            if shared_prefix_bits(m, key, net.bits) >= floor_bits]
 
 
 def bootstrap_contacts(rng, ids, v, count):

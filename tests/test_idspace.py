@@ -13,7 +13,8 @@ from dhtsim.idspace import (
     xor_distance,
 )
 from dhtsim.kadnet import BETA, KadNetwork
-from oracles import pointing_at, ring_successors
+from oracles import (pointing_at, ring_owner, ring_predecessor,
+                     ring_successors, xor_nearest)
 
 
 def test_ring_distance_examples():
@@ -95,14 +96,6 @@ def test_shared_prefix_symmetry_and_bound():
             assert (a >> (shift - 1)) != (b >> (shift - 1))
 
 
-def brute_owner(ids, key, space):
-    return min(ids, key=lambda v: (v - key) % space)
-
-
-def brute_predecessor(ids, key, space):
-    return min(ids, key=lambda v: (key - v - 1) % space)
-
-
 def test_ring_queries_against_brute_force():
     rng = random.Random(5)
     for _ in range(300):
@@ -112,8 +105,8 @@ def test_ring_queries_against_brute_force():
         ring = Ring(ids, bits)
         for _ in range(5):
             key = rng.randrange(space)
-            assert ring.owner(key) == brute_owner(ids, key, space)
-            assert ring.predecessor(key) == brute_predecessor(ids, key, space)
+            assert ring.owner(key) == ring_owner(ring, key)
+            assert ring.predecessor(key) == ring_predecessor(ring, key)
 
 
 def test_ring_successors_order_and_exclusion():
@@ -200,9 +193,7 @@ def test_xor_closest_against_sorted_oracle():
         ids = sample_ids(rng.randint(1, 40), rng, bits)
         key = rng.randrange(1 << bits)
         count = rng.randint(1, len(ids))
-        got = xor_closest(ids, key, count)
-        want = sorted(ids, key=lambda v: v ^ key)[:count]
-        assert got == want
+        assert xor_closest(ids, key, count) == xor_nearest(ids, key, count)
 
 
 def test_xor_closest_not_always_sorted_neighbor():
@@ -211,30 +202,26 @@ def test_xor_closest_not_always_sorted_neighbor():
     assert xor_closest(ids, 8, 1) == [0]
 
 
-def xor_oracle(ids, key, count):
-    return sorted(ids, key=lambda v: v ^ key)[:count]
-
-
 def test_xor_closest_compressed_walk_against_oracle():
     rng = random.Random(21)
     ids = sample_ids(300, rng)
     assert xor_closest([], 5, 3) == []
     assert xor_closest(ids, 5, 0) == []
-    assert xor_closest(ids[:7], 5, 20) == xor_oracle(ids[:7], 5, 20)
+    assert xor_closest(ids[:7], 5, 20) == xor_nearest(ids[:7], 5, 20)
     assert len(xor_closest(ids, 5, 500)) == len(ids)
     for _ in range(200):
         key = rng.randrange(1 << DEFAULT_BITS)
         count = rng.randint(1, 40)
-        assert xor_closest(ids, key, count) == xor_oracle(ids, key, count)
+        assert xor_closest(ids, key, count) == xor_nearest(ids, key, count)
         # a key equal to an id finds that id first
         hit = rng.choice(ids)
-        assert xor_closest(ids, hit, count) == xor_oracle(ids, hit, count)
+        assert xor_closest(ids, hit, count) == xor_nearest(ids, hit, count)
         assert xor_closest(ids, hit, count)[0] == hit
     # every id below 2**31, every key above: the top bit matches no id
     low = [v >> 1 for v in ids]
     for _ in range(50):
         key = (1 << 31) | rng.randrange(1 << 31)
-        assert xor_closest(low, key, 12) == xor_oracle(low, key, 12)
+        assert xor_closest(low, key, 12) == xor_nearest(low, key, 12)
 
 
 def test_xor_closest_dense_clusters():
@@ -253,7 +240,7 @@ def test_xor_closest_dense_clusters():
         for key in keys:
             count = rng.randint(0, len(ids) + 2)
             assert xor_closest(ids, key, count) == \
-                xor_oracle(ids, key, count)
+                xor_nearest(ids, key, count)
 
 
 def test_xor_closest_on_every_kad_contact_list():
@@ -271,7 +258,7 @@ def test_xor_closest_on_every_kad_contact_list():
         for key in keys:
             for count in (1, BETA, net.k, len(ids) - 1):
                 assert xor_closest(ids, key, count) == \
-                    xor_oracle(ids, key, count)
+                    xor_nearest(ids, key, count)
 
 
 def test_sample_ids_distinct_and_in_range():

@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 
+from dhtsim import kadnet
 from dhtsim.adversary import AttackPolicy
 from dhtsim.idspace import shared_prefix_bits, xor_distance
 from dhtsim.kadnet import (
     BETA,
     MODES,
+    POOL_CAP,
     KadNetwork,
     KadNode,
     LookupGraph,
@@ -17,9 +19,11 @@ from dhtsim.kadnet import (
     kad_lookup,
     pollution_fraction,
     warmup,
+    _answer,
     _iterate,
 )
-from oracles import bootstrap_contacts, random_key, truth_root
+from oracles import (bootstrap_contacts, closest_colluders, colluders_within,
+                     random_key, truth_root, xor_nearest)
 
 
 def fig2_graph():
@@ -213,8 +217,7 @@ class TestReplicaRoots:
         rng = random.Random(9)
         for _ in range(200):
             key = rng.randrange(net.space)
-            brute = sorted(net.ids, key=lambda u: xor_distance(u, key))
-            want = [u for u in brute[:net.replica_count]
+            want = [u for u in xor_nearest(net.ids, key, net.replica_count)
                     if shared_prefix_bits(u, key) >= net.tolerance_bits]
             assert net.replica_roots(key) == want
             if want:
@@ -375,8 +378,8 @@ class TestLookup:
 
     def test_colluder_answers_are_closer_colluders(self):
         """Attacked or not, a colluder with closer colluders available
-        answers with a selection of them and nothing else."""
-        from dhtsim.kadnet import _answer
+        answers with a selection of them and nothing else, and an
+        attacked one nominates the colluder nearest the key."""
         net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(3)
@@ -385,41 +388,43 @@ class TestLookup:
             for _ in range(200):
                 key = net.random_key(rng)
                 v = rng.choice(net.colluders)
-                ret, _ = _answer(net, v, key, attacked, "regular",
-                                 set(net.replica_roots(key)),
-                                 truth_root(net, key))
+                ret, nominee = _answer(net, v, key, attacked, "regular",
+                                       set(net.replica_roots(key)),
+                                       truth_root(net, key),
+                                       closest_colluders(net, key, POOL_CAP))
                 assert len(ret) <= BETA
                 floor = shared_prefix_bits(v, key) + 1
-                closer = [m for m in net.colluders_within(key, floor)
+                closer = [m for m in colluders_within(net, key, floor)
                           if m != v]
                 if closer:
                     assert set(ret) <= set(closer)
                     assert len(ret) == min(BETA, len(closer))
                     polluted += 1
                 elif attacked:
-                    assert ret == net.closest_colluders(key, BETA)
+                    assert ret == closest_colluders(net, key, BETA)
+                if attacked:
+                    assert nominee == closest_colluders(net, key, 1)[0]
         assert polluted > 100
 
     def test_colluder_spreads_distinct_ids(self):
         """Responses sample among the qualifying colluders rather than
         repeating the same few ids."""
-        from dhtsim.kadnet import _answer
         net = KadNetwork(400, colluding=0.3, seed=9)
         rng = random.Random(6)
         key = net.random_key(rng)
         v = max(net.colluders,
                 key=lambda u: xor_distance(u, key))
         roots = set(net.replica_roots(key))
+        ranked = closest_colluders(net, key, POOL_CAP)
         seen = set()
         for _ in range(200):
             seen.update(_answer(net, v, key, True, "regular", roots,
-                                truth_root(net, key))[0])
+                                truth_root(net, key), ranked)[0])
         assert len(seen) > 2 * BETA
 
     def test_cornered_colluder_hands_over_known_truth(self):
         """A colluder with no closer colluders to offer returns the
         true root when it knows it, keeping its reputation intact."""
-        from dhtsim.kadnet import _answer
         net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 3, seed=9)
         rng = random.Random(11)
@@ -427,12 +432,13 @@ class TestLookup:
         for _ in range(2000):
             key = net.random_key(rng)
             truth = truth_root(net, key)
-            v = net.closest_colluders(key, 1)[0]
+            ranked = closest_colluders(net, key, POOL_CAP)
+            v = ranked[0]
             if v == truth or not net.nodes[v].knows(truth):
                 continue
             roots = set(net.replica_roots(key))
             returned, nominee = _answer(net, v, key, False, "regular",
-                                        roots, truth)
+                                        roots, truth, ranked)
             assert nominee == truth
             assert returned[0] == truth
             handed += 1
@@ -534,31 +540,89 @@ class TestLookup:
             kad_lookup(net, q, key, mode=MODES[i % 3], policy=policy)
             assert calls == [key]
 
-    def test_colluder_query_finds_closer_colluders_once(self, monkeypatch):
-        """A colluder answering a query, attacked or not, lists its
-        closer colluders once for both its reply and its nomination."""
+    def test_lookup_ranks_colluders_once(self, monkeypatch):
+        """Every _iterate ranks the colluders nearest its key once, for
+        all the colluders answering it, attacked or not, in a scored
+        lookup and in a join self-lookup alike."""
         net = KadNetwork(300, colluding=0.3, seed=9)
         warmup(net, 2, seed=9)
         rng = random.Random(5)
         hon = net.honest_nodes()
         cases = [(rng.choice(hon), net.random_key(rng)) for _ in range(60)]
-        calls = []
-        real = KadNetwork.colluders_within
+        ranks, iterations = [], []
+        real_closest, real_iterate = kadnet.xor_closest, kadnet._iterate
 
-        def counted(self, key, floor_bits):
-            calls.append(key)
-            return real(self, key, floor_bits)
+        def closest(ids, key, count=1):
+            if ids is net.colluders:
+                ranks.append(key)
+            return real_closest(ids, key, count)
 
-        monkeypatch.setattr(KadNetwork, "colluders_within", counted)
+        def iterate(net, q, key, *args):
+            iterations.append(key)
+            return real_iterate(net, q, key, *args)
+
+        monkeypatch.setattr(kadnet, "xor_closest", closest)
+        monkeypatch.setattr(kadnet, "_iterate", iterate)
         asked = {True: 0, False: 0}
         for i, (q, key) in enumerate(cases):
             policy = AttackPolicy(1.0 if i % 2 else 0.0, seed=1)
-            del calls[:]
+            del ranks[:], iterations[:]
             out = kad_lookup(net, q, key, mode=MODES[i % 3], policy=policy)
-            colluders = sum(1 for u in out.queried if net.is_malicious(u))
-            assert len(calls) <= colluders
-            asked[bool(i % 2)] += colluders
+            assert ranks == iterations == [key]
+            asked[bool(i % 2)] += sum(1 for u in out.queried
+                                      if net.is_malicious(u))
         assert asked[True] > 0 and asked[False] > 0
+        for malicious in (False, True):
+            del ranks[:], iterations[:]
+            nid = net.join(malicious)
+            assert ranks == iterations == [nid]
+
+    @staticmethod
+    def churned_lookups(colluding):
+        """300 attacked lookups over all modes on a 200-node net where a
+        node leaves and another joins before every fifth lookup; yields
+        each lookup's net, querier, contacts beforehand and outcome."""
+        net = KadNetwork(200, colluding, seed=17)
+        policy = AttackPolicy(1.0, seed=17)
+        rng = random.Random(17)
+        for i in range(300):
+            if i % 5 == 0:
+                gone = rng.choice(net.ids)
+                was_bad = net.is_malicious(gone)
+                net.leave(gone)
+                net.join(malicious=was_bad)
+            q = rng.choice(net.honest_nodes())
+            contacts = list(net.nodes[q].sorted_contacts)
+            out = kad_lookup(net, q, net.random_key(rng), mode=MODES[i % 3],
+                             policy=policy)
+            yield net, q, contacts, out
+
+    @pytest.mark.parametrize("colluding", [0.0, 0.2, 0.4])
+    def test_credited_contacts_were_all_queried(self, colluding):
+        """On every successful lookup, in every mode, under attack and
+        while nodes leave and join, each credited node was queried, so
+        charging only queried contacts leaves no credit out."""
+        checked = 0
+        for net, q, _, out in self.churned_lookups(colluding):
+            if out.success and out.closest_root != q:
+                credited = credit_reputation(q, out.graph, out.closest_root)
+                assert credited <= out.queried
+                checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("colluding", [0.0, 0.2, 0.4])
+    def test_lookup_ends_with_the_nearest_live_contacts_queried(
+            self, colluding):
+        """A lookup stops only once the k live ids nearest the key among
+        all it heard of are queried: a departed contact it finds frees
+        its shortlist place for the next live one."""
+        departed = 0
+        for net, q, contacts, out in self.churned_lookups(colluding):
+            heard = (set(contacts) | out.graph.vertices) - {q}
+            live = [u for u in heard if u in net.nodes]
+            assert set(xor_nearest(live, out.key, net.k)) <= out.queried
+            departed += sum(1 for u in out.queried if u not in net.nodes)
+        assert departed > 100
 
 
 class TestPollution:

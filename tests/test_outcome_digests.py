@@ -24,20 +24,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
     "halo-attack": "b2acbdb6f42b",
-    "halo-shared-churn": "a2e740ad7d8e",
+    "halo-shared-churn": "1250950f7d53",
     "kad-attack": "4174762ed591",
     "oscillation-sweep": "78b001ba7a28",
 }
 
 FULL_SIZE_DIGESTS = {
     "halo-attack": "8c65801714f6",
-    "halo-shared-churn": "8fa3a56dac52",
+    "halo-shared-churn": "6f8d3a4c5160",
     "kad-attack": "bc376fdb15a2",
     "oscillation-sweep": "63b53c14e87b",
 }
 
 SEED_TWO_FULL_SIZE_DIGESTS = {
-    "halo-shared-churn": "bc4d55777cc2",
+    "halo-shared-churn": "09b012fb204c",
     "kad-attack": "273ab45f25b5",
 }
 

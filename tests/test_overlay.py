@@ -69,3 +69,22 @@ def test_attack_coin_takes_one_serial_per_lookup(overlay):
         with pytest.raises(ValueError):
             net.attack_coin(origin, policy)
     assert net.serial == 101
+
+
+@pytest.mark.parametrize("overlay, options", [
+    (HaloNetwork, {}), (KadNetwork, {"tolerance_bits": 0})],
+    ids=["halo", "kad"])
+def test_join_on_a_used_up_id_space_raises(overlay, options):
+    # ids are never reused: 10 members and 6 joins use all 16 ids
+    net = overlay(10, bits=4, **options)
+    for _ in range(6):
+        net.leave(net.ring.ids[0])
+        net.join()
+    state = net.rng.getstate()
+    with pytest.raises(ValueError):
+        net.join()
+    assert len(net.ring) == 10
+    assert net.rng.getstate() == state
+    if overlay is KadNetwork:
+        with pytest.raises(ValueError):
+            KadNetwork(4, bits=2, tolerance_bits=0).join()

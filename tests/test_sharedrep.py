@@ -357,14 +357,16 @@ def test_exchanges_share_no_report_cache():
 
 def test_churn_leaves_no_departed_id_behind():
     # ids are never reused, so nothing said about a departed node is read
-    # again: no store may keep its counter or a tie set naming it, and
-    # after the next epoch no exchange report may either
+    # again: no store may keep its counter or a tie set naming it, no
+    # shared-score table may hold it, and after the next epoch no
+    # exchange report may either
     net = HaloNetwork(100, 0.2, seed=21)
     policy = AttackPolicy(1.0, seed=21)
     ex = SharedExchange(net, "dropoff", seed=21)
     rng = random.Random(21)
     departed = set()
-    counted = tied = stale = 0   # how often there was something to drop
+    # how often there was something to drop
+    counted = tied = overridden = stale = 0
     for i in range(1, 601):
         origin = rng.choice(net.honest_nodes())
         halo_lookup(net, origin, rng.randrange(net.space), mode="shared",
@@ -374,6 +376,8 @@ def test_churn_leaves_no_departed_id_behind():
             stores = net.stores.values()
             counted += any(gone in st.counts for st in stores)
             tied += any(gone in sig for st in stores for sig in st._tie_choice)
+            overridden += any(gone in table
+                              for table in net.score_overrides.values())
             was_bad = net.is_malicious(gone)
             net.leave(gone)
             departed.add(gone)
@@ -381,6 +385,9 @@ def test_churn_leaves_no_departed_id_behind():
             for st in net.stores.values():
                 assert departed.isdisjoint(st.counts)
                 assert all(departed.isdisjoint(sig) for sig in st._tie_choice)
+            assert departed.isdisjoint(net.score_overrides)
+            for table in net.score_overrides.values():
+                assert departed.isdisjoint(table)
         if i % 100 == 0:
             # (finger, sender) report entries naming a departed id
             stale += sum(f in departed or s in departed
@@ -389,6 +396,7 @@ def test_churn_leaves_no_departed_id_behind():
             assert departed.isdisjoint(ex.reports)
             assert all(departed.isdisjoint(t) for t in ex.reports.values())
     assert counted > 20 and tied > 20 and stale > 20
+    assert overridden > 20
 
 
 class PerRequestExchange(SharedExchange):
