@@ -12,7 +12,7 @@ shout down the victims' reports in the shared-score exchange.
 import math
 import random
 
-from .sharedrep import aggregate
+from .sharedrep import _check_method, aggregate
 
 DEFAULT_HONEST_SCORE = 0.90
 DEFAULT_LOOKUPS = 20000
@@ -30,8 +30,8 @@ class OscillationModel:
 
     def __init__(self, alpha_ewma, beta_bias, s_h=DEFAULT_HONEST_SCORE,
                  s0=1.0, lookups=DEFAULT_LOOKUPS):
-        if lookups < 1:
-            raise ValueError("need at least one lookup")
+        if not isinstance(lookups, int) or lookups < 1:
+            raise ValueError("lookups must be a whole number, at least 1")
         if not 0.0 < s_h <= 1.0 or not 0.0 < s0 <= 1.0:
             raise ValueError("scores outside (0, 1]")
         if not 0.0 <= alpha_ewma <= 1.0:
@@ -46,7 +46,7 @@ class OscillationModel:
 
 
 def simulate_oscillation(model, strategy):
-    """Expected attacks and the (score, Pr[A], p) trajectory.
+    """Expected number of attacks over the model's lookups.
 
     Each lookup selects the attacker with probability
     Pr[A] = s**beta / (s**beta + s_h**beta); the strategy turns that
@@ -54,21 +54,21 @@ def simulate_oscillation(model, strategy):
     Pr[A] * p.  The attacker's result is honest (1) exactly when it is
     not attacking, so its score moves by the EWMA rule toward 1 - p,
     weighted by the chance it was selected and observed at all, so the
-    recursion is deterministic in expectation.
+    recursion is deterministic in expectation.  Only the total is kept.
 
     The loop is specialised to its two scores.  s_h**beta, the strategy's
     decide and 1 - alpha are computed once; each step does the rest
     inline, in the same order as the general selection-probability and
-    EWMA rules, so every float matches tests/test_analysis.py's
-    old_loop, which runs through those rules, bit for bit.  The rules'
-    argument checks are not repeated because they cannot fail here: the
-    model holds alpha in [0, 1], beta finite and non-negative and s0,
-    s_h in (0, 1], and with Pr[A] and p in [0, 1] each step moves s to
-    a mix of s and values in [0, 1], so s never goes negative and
-    s_h > 0 keeps the pair from being all zero.  (Should both weights
-    underflow to zero, the division raises ZeroDivisionError.)  The one
-    check that stays is the strategy's: a p outside [0, 1] raises
-    ValueError.
+    EWMA rules, so the total matches tests/oracles.py's old_loop, which
+    runs through those rules and keeps every step, bit for bit.  The
+    rules' argument checks are not repeated because they cannot fail
+    here: the model holds alpha in [0, 1], beta finite and non-negative
+    and s0, s_h in (0, 1], and with Pr[A] and p in [0, 1] each step
+    moves s to a mix of s and values in [0, 1], so s never goes negative
+    and s_h > 0 keeps the pair from being all zero.  (Should both
+    weights underflow to zero, the division raises ZeroDivisionError.)
+    The one check that stays is the strategy's: a p outside [0, 1]
+    raises ValueError.
     """
     beta = model.beta_bias
     w_h = model.s_h ** beta
@@ -77,18 +77,15 @@ def simulate_oscillation(model, strategy):
     decide = strategy.decide
     s = model.s0
     total = 0.0
-    trajectory = []
-    record = trajectory.append
     for _ in range(model.lookups):
         w = s ** beta
         pra = w / (w + w_h)
         p = decide(pra)
         if not 0.0 <= p <= 1.0:
             raise ValueError("strategy emitted probability outside [0, 1]")
-        record((s, pra, p))
         total += pra * p
         s += pra * (alpha * (1.0 - p) + keep * s - s)
-    return total, trajectory
+    return total
 
 
 def sweep(strategy_family, grid, model):
@@ -100,14 +97,15 @@ def sweep(strategy_family, grid, model):
     """
     out = []
     for params in grid:
-        strategy = strategy_family(*params)
-        total, _ = simulate_oscillation(model, strategy)
+        total = simulate_oscillation(model, strategy_family(*params))
         out.append((params, total / model.lookups))
     return out
 
 
 def tau_grid(step=0.05, start=0.05, stop=0.95):
     """Threshold values start..stop inclusive, as one-tuples."""
+    if not step > 0 or not start <= stop:
+        raise ValueError("need step > 0 and start <= stop")
     count = int(round((stop - start) / step))
     return [(round(start + i * step, 10),) for i in range(count + 1)]
 
@@ -140,22 +138,29 @@ def use_based_sim(n, lookups, m, s, f, method="dropoff", seed=0,
     fresh score to broadcast, while fellow victims have mostly stopped
     routing through it and report only with probability
     victim_presence.  A trial counts when the aggregate lands within
-    0.01 of the consensus value s.
+    0.01 of the consensus value s.  A trial's reports depend only on how
+    many victims are present, and average and median draw no rng, so
+    they aggregate each count once; drop-off aggregates every trial.
     """
+    if n < 2:
+        raise ValueError("need n >= 2 nodes")
     k = int(math.log2(n))
-    if not 1 <= m <= k:
-        raise ValueError("m outside 1..log2(n)")
-    if lookups < 1:
-        raise ValueError("need at least one trial")
+    if not isinstance(m, int) or not 1 <= m <= k:
+        raise ValueError("m must be a whole number in 1..log2(n)")
+    if not isinstance(lookups, int) or lookups < 1:
+        raise ValueError("lookups must be a whole number, at least 1")
+    _check_method(method)
     if not all(0.0 <= v <= 1.0 for v in (s, f, victim_presence)):
         raise ValueError("s, f and victim_presence must lie in [0, 1]")
     rng = random.Random(seed)
     own = 1.0 - f
+    hit = {}
     hits = 0
     for _ in range(lookups):
-        received = [s] * (k - m)
-        received += [own] * sum(rng.random() < victim_presence
-                                for _ in range(m - 1))
-        if abs(aggregate(method, own, received, rng) - s) < 0.01:
-            hits += 1
+        present = sum(rng.random() < victim_presence for _ in range(m - 1))
+        if method == "dropoff" or present not in hit:
+            received = [s] * (k - m) + [own] * present
+            shared = aggregate(method, own, received, rng)
+            hit[present] = abs(shared - s) < 0.01
+        hits += hit[present]
     return 100.0 * hits / lookups

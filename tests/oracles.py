@@ -5,10 +5,11 @@ general, checked form.
 """
 
 from bisect import bisect_right
-from math import comb
+from math import comb, log2
+from random import Random
 
 from dhtsim.idspace import shared_prefix_bits
-from dhtsim.sharedrep import GRID_STEPS, METHODS
+from dhtsim.sharedrep import GRID_STEPS, METHODS, aggregate
 
 
 def ring_successors(ring, nid, count):
@@ -132,6 +133,49 @@ def selection_prob(scores, beta_bias):
     weights = [s ** beta_bias for s in scores]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def old_loop(model, strategy, rng=None):
+    """The oscillation recursion as it ran through selection_prob and
+    ewma_update, returning the expected total and every step's
+    (score, Pr[A], p); with an rng it samples selection and attack
+    outcomes instead."""
+    s = model.s0
+    total = 0.0
+    trajectory = []
+    for _ in range(model.lookups):
+        pra = selection_prob([s, model.s_h], model.beta_bias)[0]
+        p = strategy.decide(pra)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("strategy emitted probability outside [0, 1]")
+        trajectory.append((s, pra, p))
+        if rng is None:
+            total += pra * p
+            s += pra * (ewma_update(s, 1.0 - p, model.alpha_ewma) - s)
+        else:
+            if rng.random() < pra:
+                attacked = rng.random() < p
+                total += attacked
+                s = ewma_update(s, 0.0 if attacked else 1.0,
+                                model.alpha_ewma)
+    return total, trajectory
+
+
+def use_based_trials(n, lookups, m, s, f, method="dropoff", seed=0,
+                     victim_presence=0.75):
+    """The use-based hit share in percent, aggregating every trial's
+    reports afresh whatever the method."""
+    k = int(log2(n))
+    rng = Random(seed)
+    own = 1.0 - f
+    hits = 0
+    for _ in range(lookups):
+        received = [s] * (k - m)
+        received += [own] * sum(rng.random() < victim_presence
+                                for _ in range(m - 1))
+        if abs(aggregate(method, own, received, rng) - s) < 0.01:
+            hits += 1
+    return 100.0 * hits / lookups
 
 
 def dropoff_bin(own, received, rng):

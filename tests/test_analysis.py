@@ -1,5 +1,6 @@
 import random
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,8 @@ from dhtsim.analysis import (
     threshold_pair_grid,
     use_based_sim,
 )
-from oracles import ewma_update, selection_prob
+from dhtsim.sharedrep import METHODS
+from oracles import old_loop, selection_prob, use_based_trials
 
 
 def test_fast_learning_heavy_bias_allows_one_attack():
@@ -21,14 +23,14 @@ def test_fast_learning_heavy_bias_allows_one_attack():
     # attack tanks the score and the attacker is never selected again
     model = OscillationModel(0.5, 100)
     for (tau,) in tau_grid():
-        total, _ = simulate_oscillation(model, OneThreshold(tau))
+        total = simulate_oscillation(model, OneThreshold(tau))
         assert total <= 1.001
         assert total >= 0.9
 
 
 def test_slow_light_trajectory_settles():
     model = OscillationModel(0.01, 1)
-    _, trajectory = simulate_oscillation(model, OneThreshold(0.32))
+    _, trajectory = old_loop(model, OneThreshold(0.32))
     tail = trajectory[len(trajectory) // 2:]
     score = statistics.fmean(t[0] for t in tail)
     pra = statistics.fmean(t[1] for t in tail)
@@ -67,13 +69,13 @@ def test_attacks_accumulate_monotonically():
     rng = random.Random(2)
     for _ in range(4):
         strategy = OneThreshold(rng.uniform(0.05, 0.95))
-        _, trajectory = simulate_oscillation(model, strategy)
+        _, trajectory = old_loop(model, strategy)
         running = 0.0
         for s, pra, p in trajectory:
             step = pra * p
             assert step >= 0.0
             running += step
-        total, _ = simulate_oscillation(model, OneThreshold(strategy.tau))
+        total = simulate_oscillation(model, OneThreshold(strategy.tau))
         assert running == pytest.approx(total)
 
 
@@ -85,7 +87,7 @@ def test_heavy_bias_concentrates_selection():
 
 def test_monte_carlo_matches_recursion():
     model = OscillationModel(0.01, 1)
-    expected, _ = simulate_oscillation(model, OneThreshold(0.32))
+    expected = simulate_oscillation(model, OneThreshold(0.32))
     samples = [old_loop(model, OneThreshold(0.32), random.Random(seed))[0]
                for seed in range(8)]
     mean = statistics.fmean(samples)
@@ -110,6 +112,9 @@ def test_model_validation():
         OscillationModel(1.0, -50, s_h=1.0, s0=0.5)
     for beta in (0, 1, 100):
         assert OscillationModel(0.5, beta).beta_bias == beta
+    for lookups in (2.5, 3.0, "10"):
+        with pytest.raises(ValueError):
+            OscillationModel(0.01, 1, lookups=lookups)
 
 
 class Constant:
@@ -125,30 +130,6 @@ def test_strategy_outside_unit_interval_rejected(p):
     model = OscillationModel(0.01, 1)
     with pytest.raises(ValueError):
         simulate_oscillation(model, Constant(p))
-
-
-def old_loop(model, strategy, rng=None):
-    """The recursion as it ran through selection_prob and ewma_update;
-    with an rng it samples selection and attack outcomes instead."""
-    s = model.s0
-    total = 0.0
-    trajectory = []
-    for _ in range(model.lookups):
-        pra = selection_prob([s, model.s_h], model.beta_bias)[0]
-        p = strategy.decide(pra)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("strategy emitted probability outside [0, 1]")
-        trajectory.append((s, pra, p))
-        if rng is None:
-            total += pra * p
-            s += pra * (ewma_update(s, 1.0 - p, model.alpha_ewma) - s)
-        else:
-            if rng.random() < pra:
-                attacked = rng.random() < p
-                total += attacked
-                s = ewma_update(s, 0.0 if attacked else 1.0,
-                                model.alpha_ewma)
-    return total, trajectory
 
 
 def random_params(family, rng):
@@ -178,11 +159,38 @@ def equivalence_cases(family):
 @pytest.mark.parametrize("family", [OneThreshold, TwoThreshold,
                                     Probabilistic])
 def test_specialised_loop_is_bit_identical(family):
-    # == on the expected total and every (score, Pr[A], p) step
+    # == on the expected total, which sums every step's Pr[A] * p
     for alpha, beta, s_h, s0, params in equivalence_cases(family):
         model = OscillationModel(alpha, beta, s_h=s_h, s0=s0, lookups=300)
         assert simulate_oscillation(model, family(*params)) == \
-            old_loop(model, family(*params))
+            old_loop(model, family(*params))[0]
+
+
+def test_recursion_memory_does_not_grow_with_lookups():
+    # the recursion keeps no per-step record: 200,000 steps fit in the
+    # few small objects a single step allocates
+    model = OscillationModel(0.01, 1, lookups=200_000)
+    strategy = OneThreshold(0.32)
+    tracemalloc.start()
+    try:
+        simulate_oscillation(model, strategy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
+
+
+def test_grids_reject_bad_steps():
+    for step in (0, 0.0, -0.05):
+        with pytest.raises(ValueError):
+            tau_grid(step=step)
+    with pytest.raises(ValueError):
+        tau_grid(start=0.9, stop=0.1)
+    with pytest.raises(ValueError):
+        threshold_pair_grid(start=0.9, stop=0.1)
+    with pytest.raises(ValueError):
+        threshold_pair_grid(step=0)
+    assert tau_grid(0.1, 0.5, 0.5) == [(0.5,)]
 
 
 def test_use_based_lone_victim_accepts_consensus():
@@ -223,3 +231,27 @@ def test_use_based_validation():
             use_based_sim(1024, 10, 2, 0.8, 0.8, victim_presence=presence)
     for edge in (0.0, 1.0):
         use_based_sim(1024, 10, 2, edge, edge, victim_presence=edge)
+    for n in (0, 1, -8):
+        with pytest.raises(ValueError):
+            use_based_sim(n, 10, 1, 0.8, 0.8)
+    with pytest.raises(ValueError):
+        use_based_sim(1000, 2.5, 1, 0.8, 0.8)
+    with pytest.raises(ValueError):
+        use_based_sim(1000, 10, 2.5, 0.8, 0.8)
+    with pytest.raises(ValueError):
+        use_based_sim(1000, 10, 1, 0.8, 0.8, method="mode")
+    # two nodes give one knuckle, so one victim is the only choice
+    assert use_based_sim(2, 10, 1, 0.8, 0.8) == 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_use_based_matches_per_trial_oracle(method):
+    # == on the share, whether or not the method reuses a victim count
+    for m in range(1, 7):
+        for presence in (0.0, 0.5, 1.0):
+            for seed in (0, 1, 2):
+                args = (10000, 200, m, 0.8, 0.8)
+                kwargs = dict(method=method, seed=seed,
+                              victim_presence=presence)
+                assert use_based_sim(*args, **kwargs) == \
+                    use_based_trials(*args, **kwargs)
