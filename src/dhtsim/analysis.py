@@ -106,8 +106,9 @@ def tau_grid(step=0.05, start=0.05, stop=0.95):
     """Threshold values start..stop inclusive, as one-tuples."""
     if not step > 0 or not start <= stop:
         raise ValueError("need step > 0 and start <= stop")
-    count = int(round((stop - start) / step))
-    return [(round(start + i * step, 10),) for i in range(count + 1)]
+    # a step that does not divide stop - start ends short of stop
+    count = int((stop - start) / step + 1e-9) + 1
+    return [(round(start + i * step, 10),) for i in range(count)]
 
 
 def threshold_pair_grid(step=0.05, start=0.05, stop=0.95):

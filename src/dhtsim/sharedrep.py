@@ -12,12 +12,15 @@ use.  Against average and median they report their goal outright.
 Against drop-off they send the grid point s / GRID_STEPS whose
 closed-form expected aggregate pulls hardest toward their goal;
 _dropoff_grid evaluates that closed form at every grid point at once.
+Its colluder-side terms depend only on the colluder count and the
+receiver's own score, so _colluder_columns builds them once for every
+forge sharing the two, and an exchange epoch forges its requests
+grouped by them.
 """
 
 import random
 import statistics
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 
 METHODS = ("average", "median", "dropoff")
@@ -41,11 +44,12 @@ def aggregate(method, own, received, rng=None):
     Average and median run over the raw reports.  Drop-off admits each
     report in turn with probability 1 - |report - own|, one draw of rng
     per report, and takes the median of the admitted ones.  The node's
-    own score anchors admission but is never itself admitted.  With
-    nothing received (or nothing admitted) the node keeps its own
-    first-hand score.
+    own score anchors admission but is never itself admitted, and
+    drop-off without an rng is a ValueError.  With nothing received (or
+    nothing admitted) the node keeps its own first-hand score.
     """
-    _check_method(method)
+    if _check_method(method) == "dropoff" and rng is None:
+        raise ValueError("drop-off aggregation needs an rng")
     own = _clamp(own)
     received = [_clamp(v) for v in received]
     if not received:
@@ -54,8 +58,6 @@ def aggregate(method, own, received, rng=None):
         return statistics.fmean(received)
     if method == "median":
         return statistics.median(received)
-    if rng is None:
-        rng = random.Random(0)
     admitted = [v for v in received if rng.random() < 1.0 - abs(v - own)]
     return statistics.median(admitted) if admitted else own
 
@@ -68,54 +70,42 @@ def _admission(n, D):
             for i in range(n + 1)]
 
 
-class _Colluders:
-    """The colluder side of the drop-off closed form: n_m colluders each
-    reporting a point of R to a bin owner whose own score is r_k.
+def _colluder_columns(n_m, r_k, R):
+    """The colluder side of the drop-off closed form, for n_m colluders
+    each reporting a point of R to a bin owner whose own score is r_k,
+    as (admit, below).  admit holds _admission's rows; below[i - 1]
+    holds, per point, the chance that fewer than i of the reports are
+    admitted, for 1 <= i <= n_m + 1.
 
-    Nothing here depends on the honest reporters, so one instance serves
-    every grid search that shares (n_m, r_k, R).
+    Nothing here depends on the honest reporters, so one pair serves
+    every grid search that shares (n_m, r_k, R).  Each below column is
+    its own sum() call: Python 3.12 compensates float sums, so a running
+    prefix would differ there.
     """
-
-    def __init__(self, n_m, r_k, R):
-        self.n_m = n_m
-        self.r_k = r_k
-        self.R = R
-        self.admit = _admission(n_m, [abs(r - r_k) for r in R])
-        self._below = []
-
-    def below(self, i):
-        """Per point, the chance that fewer than i of the n_m reports are
-        admitted, for 1 <= i <= n_m + 1; built on first use.  Each column
-        is its own sum() call: Python 3.12 compensates float sums, so a
-        running prefix would differ there."""
-        while len(self._below) < i:
-            rows = self.admit[:len(self._below) + 1]
-            self._below.append([sum(t) for t in zip(*rows)])
-        return self._below[i - 1]
+    admit = _admission(n_m, [abs(r - r_k) for r in R])
+    return admit, [[sum(t) for t in zip(*admit[:i])]
+                   for i in range(1, n_m + 2)]
 
 
-def _dropoff_grid(n_h, r_h, colluders):
+def _dropoff_grid(n_m, r_k, R, columns, n_h, r_h):
     """The drop-off closed form for n_h honest reports of r_h against
-    every colluder report r_m in colluders.R at once, as three columns
-    (P, Q, E) indexed like R.
+    every colluder report r_m in R at once, as three columns (P, Q, E)
+    indexed like R; columns is _colluder_columns(n_m, r_k, R).
 
     P is the chance the admitted honest reports outnumber the admitted
     colluder ones (the bin median lands on r_h), Q the chance of a
     nonzero tie (the median averages the two values), and E the expected
     aggregate, the remaining probability mass landing on r_m.  A point's
     entries come from the same float operations in the same order
-    whatever else R holds, and whether or not the colluder columns were
-    built for an earlier search.
+    whatever else R holds.
     """
-    n_m, R = colluders.n_m, colluders.R
-    admit_h = [row[0] for row in _admission(n_h, [abs(r_h - colluders.r_k)])]
-    admit_m = colluders.admit
+    admit_m, below = columns
+    admit_h = [row[0] for row in _admission(n_h, [abs(r_h - r_k)])]
     P = [0.0] * len(R)
     for i in range(1, n_h + 1):
-        # past n_m + 1 the chance stays the whole pmf's sum
-        below = colluders.below(min(i, n_m + 1))
         h = admit_h[i]
-        P = [p + h * b for p, b in zip(P, below)]
+        # past n_m + 1 the chance stays the whole pmf's sum
+        P = [p + h * b for p, b in zip(P, below[min(i, n_m + 1) - 1])]
     ties = [[admit_h[i] * a for a in admit_m[i]]
             for i in range(1, min(n_h, n_m) + 1)]
     Q = [sum(t) for t in zip(*ties)] if ties else [0] * len(R)
@@ -124,14 +114,14 @@ def _dropoff_grid(n_h, r_h, colluders):
     return P, Q, E
 
 
-def _forge(colluders, n_honest, truth, goal):
-    """The point of colluders.R a colluder reports against n_honest
-    honest reports of truth: the first point with the most extreme
-    expected drop-off aggregate, the largest when goal >= 0.5 (promote
-    the finger), else the smallest (slander it)."""
-    _, _, E = _dropoff_grid(n_honest, truth, colluders)
+def _forge(n_m, r_k, R, columns, n_honest, truth, goal):
+    """The point of R that n_m colluders report to a bin owner scoring
+    r_k against n_honest honest reports of truth: the first point with
+    the most extreme expected drop-off aggregate, the largest when
+    goal >= 0.5 (promote the finger), else the smallest (slander it)."""
+    _, _, E = _dropoff_grid(n_m, r_k, R, columns, n_honest, truth)
     extreme = max if goal >= 0.5 else min
-    return colluders.R[extreme(range(len(colluders.R)), key=E.__getitem__)]
+    return R[extreme(range(len(R)), key=E.__getitem__)]
 
 
 class SharedExchange:
@@ -146,12 +136,14 @@ class SharedExchange:
     honest holder's aggregate lands in the network's score overrides,
     where routing reads it in place of the first-hand score.
 
-    An epoch first lists every forge request in holder order.  It then
-    forges them grouped by (colluder count, rounded own score), the
-    inputs of the drop-off grid's colluder columns, so each group's
-    columns are built once and dropped before the next group's.  Last
-    it folds every aggregate in holder order, so the grouping moves no
-    draw of the exchange's rng.
+    An epoch runs three passes over one list of (finger, honest
+    holders, colluder count).  The first broadcasts changed scores.  The
+    second forges one report per (finger, honest holder) with colluders,
+    sorted by (colluder count, rounded own score), the inputs of the
+    drop-off grid's colluder columns, so each group's columns are built
+    once and dropped before the next group's.  The third folds every
+    aggregate in holder order, so the grouping moves no draw of the
+    exchange's rng.
     """
 
     def __init__(self, net, method="dropoff", seed=0, adversarial=True):
@@ -160,20 +152,24 @@ class SharedExchange:
         self.rng = random.Random(seed)
         self.adversarial = adversarial
         self.reports = {}     # finger -> {honest sender: latest value}
-        # the colluder columns of the group being forged, by (n_bad, own);
-        # run_epoch empties it before the next group
-        self._columns = columns = {}
+        # the colluder columns of the group being forged, by (n_bad, own):
+        # forge drops them at the next group's first miss, run_epoch
+        # after the last group
+        self._group = group = {}
 
         def forge(own, truth, goal, n_received, n_bad):
             if method != "dropoff":
                 return goal
-            side = columns.get((n_bad, own))
-            if side is None:
-                side = columns[n_bad, own] = _Colluders(n_bad, own, _GRID)
-            return _forge(side, n_received, truth, goal)
+            columns = group.get((n_bad, own))
+            if columns is None:
+                group.clear()
+                columns = group[n_bad, own] = _colluder_columns(
+                    n_bad, own, _GRID)
+            return _forge(n_bad, own, _GRID, columns, n_received, truth,
+                          goal)
 
         # forged reports by rounded inputs; one bounded cache per exchange,
-        # so no two exchanges share state.  forge closes over columns, not
+        # so no two exchanges share state.  forge closes over group, not
         # self, so the cache keeps no reference cycle through the exchange.
         self.forged_report = lru_cache(maxsize=65536)(forge)
 
@@ -200,11 +196,7 @@ class SharedExchange:
         holders = self.finger_holders()
         self._prune(holders)
         sent = 0
-        # one fold per (finger, honest receiver) in holder order, kept as
-        # columns indexed by fold: an object per fold would raise the
-        # epoch's peak memory
-        fingers = []   # (finger, its reports in table order, colluders)
-        at, receivers, owns, slots = [], [], [], []
+        folds = []   # (finger, honest holders, colluder count)
         for f, hs in holders.items():
             honest = [u for u in hs if u in net.stores]
             if not honest:
@@ -212,49 +204,41 @@ class SharedExchange:
             table = self.reports.setdefault(f, {})
             for k in honest:
                 r = net.first_hand_score(k, f)
-                owns.append(r)
                 if table.get(k) != r:
                     table[k] = r
                     sent += 1
-            # every honest holder has a report in table by now
-            slot = {s: i for i, s in enumerate(table)}
-            at += [len(fingers)] * len(honest)
-            receivers += honest
-            slots += [slot[j] for j in honest]
             n_bad = len(hs) - len(honest) if self.adversarial else 0
-            fingers.append((f, list(table.values()), n_bad))
-
-        def others(i):
-            """Every report on fold i's finger but its receiver's own."""
-            values, s = fingers[at[i]][1], slots[i]
-            return values[:s] + values[s + 1:]
-
-        def group(i):
-            """The inputs of fold i's colluder columns, less the grid."""
-            return fingers[at[i]][2], round(owns[i], 2)
-
-        # one forge per request, grouped; sorted() is stable, so a group
-        # keeps holder order
-        asks = sorted((i for i, k in enumerate(at) if fingers[k][2]),
-                      key=group)
-        forged = [None] * len(receivers)
-        for _, same in groupby(asks, key=group):
-            for i in same:
-                f, _, n_bad = fingers[at[i]]
-                own = owns[i]
-                received = others(i)
-                truth = statistics.fmean(received) if received else own
-                goal = 1.0 if net.is_malicious(f) else 0.0
-                forged[i] = self.forged_report(
-                    round(own, 2), round(truth, 2), goal, len(received),
-                    n_bad)
-            # drop this group's columns before the next group's are built
-            self._columns.clear()
-        for i, j in enumerate(receivers):
-            f, _, n_bad = fingers[at[i]]
-            received = others(i) + [forged[i]] * n_bad
-            net.score_overrides.setdefault(j, {})[f] = aggregate(
-                self.method, owns[i], received, self.rng)
+            folds.append((f, honest, n_bad))
+        # every honest holder's own score is now its entry in table
+        # one forge request per (finger, honest holder) with colluders
+        asks = []
+        for f, honest, n_bad in folds:
+            if not n_bad:
+                continue
+            table = self.reports[f]
+            goal = 1.0 if net.is_malicious(f) else 0.0
+            for k in honest:
+                received = [v for s, v in table.items() if s != k]
+                truth = statistics.fmean(received) if received else table[k]
+                asks.append((n_bad, round(table[k], 2), len(asks),
+                             round(truth, 2), goal, len(received)))
+        # forge grouped by colluder count and own score; a request's
+        # index breaks ties, so a group keeps holder order
+        asks.sort()
+        forged = [None] * len(asks)
+        for n_bad, own, i, truth, goal, n_received in asks:
+            forged[i] = self.forged_report(own, truth, goal, n_received,
+                                           n_bad)
+        self._group.clear()   # no colluder columns outlive the epoch
+        forged = iter(forged)
+        for f, honest, n_bad in folds:
+            table = self.reports[f]
+            for k in honest:
+                received = [v for s, v in table.items() if s != k]
+                if n_bad:
+                    received += [next(forged)] * n_bad
+                net.score_overrides.setdefault(k, {})[f] = aggregate(
+                    self.method, table[k], received, self.rng)
         return sent
 
     def _prune(self, holders):

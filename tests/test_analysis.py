@@ -193,6 +193,16 @@ def test_grids_reject_bad_steps():
     assert tau_grid(0.1, 0.5, 0.5) == [(0.5,)]
 
 
+def test_tau_grid_stops_at_stop():
+    # a step that does not divide stop - start ends short of stop, never
+    # past it; one that does ends on it
+    assert tau_grid(0.35) == [(0.05,), (0.4,), (0.75,)]
+    for k in range(1, 200):
+        taus = [t for (t,) in tau_grid(k / 200)]
+        assert taus[-1] <= 0.95 < taus[-1] + k / 200 + 1e-9, k
+    assert len(tau_grid()) == 19 and tau_grid()[-1] == (0.95,)
+
+
 def test_use_based_lone_victim_accepts_consensus():
     p = use_based_sim(10000, 10000, 1, 0.8, 0.8)
     assert abs(p - 98.6) <= 2.0

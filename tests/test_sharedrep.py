@@ -1,6 +1,7 @@
 import copy
 import random
 import statistics
+import tracemalloc
 import weakref
 from functools import lru_cache
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from dhtsim import sharedrep
 from dhtsim.idspace import Ring
 from dhtsim.sharedrep import (
     SharedExchange,
-    _Colluders,
+    _colluder_columns,
     _dropoff_grid,
     _forge,
     aggregate,
@@ -82,6 +83,16 @@ def test_aggregate_empty_falls_back_to_own():
             aggregate(method, 0.5, [0.5])
         with pytest.raises(ValueError):
             SharedExchange(ring_shim([1, 2], 4), method)
+
+
+def test_dropoff_aggregate_needs_an_rng():
+    # a built-in fallback rng would replay the same admission draws on
+    # every call; average and median draw nothing
+    for received in ([0.2, 0.9], []):
+        with pytest.raises(ValueError):
+            aggregate("dropoff", 0.5, received)
+    assert aggregate("average", 0.5, [0.2, 0.9]) == pytest.approx(0.55)
+    assert aggregate("median", 0.5, [0.2, 0.4, 0.9]) == 0.4
 
 
 class Draws:
@@ -264,13 +275,15 @@ def test_grid_kernel_matches_pointwise_oracle():
         steps = rng.choice([1, 2, 7, 50, 200, 333])
         R = [s / steps for s in range(steps + 1)]
         R += [rng.choice([0.0, 1.0, own, rng.random()]) for _ in range(3)]
-        colluders = _Colluders(n_m, own, R)
-        for point in zip(*_dropoff_grid(n_h, truth, colluders), R):
+        columns = _colluder_columns(n_m, own, R)
+        for point in zip(*_dropoff_grid(n_m, own, R, columns, n_h, truth),
+                         R):
             assert point[:3] == expected_dropoff(n_h, n_m, truth, point[3],
                                                  own)
-        grid = _Colluders(n_m, own, R[:steps + 1])
+        grid = R[:steps + 1]
+        columns = _colluder_columns(n_m, own, grid)
         for goal in (0.0, 1.0):
-            assert _forge(grid, n_h, truth, goal) == \
+            assert _forge(n_m, own, grid, columns, n_h, truth, goal) == \
                 adversarial_report("dropoff", own, truth, goal, n_h, n_m,
                                    steps)
 
@@ -478,15 +491,26 @@ def test_one_group_of_colluder_columns_alive_at_a_time(monkeypatch):
     alive = weakref.WeakSet()
     built = []
 
-    class Tracked(sharedrep._Colluders):
-        def __init__(self, n_m, r_k, R):
-            # the previous group's columns are gone before these are built
-            assert not alive
-            super().__init__(n_m, r_k, R)
-            alive.add(self)
-            built.append((n_m, r_k))
+    class Held:
+        """The (admit, below) pair, weakly referenceable."""
 
-    monkeypatch.setattr(sharedrep, "_Colluders", Tracked)
+        def __init__(self, pair):
+            self.pair = pair
+
+        def __iter__(self):
+            return iter(self.pair)
+
+    build = sharedrep._colluder_columns
+
+    def tracked(n_m, r_k, R):
+        # the previous group's columns are gone before these are built
+        assert not alive
+        columns = Held(build(n_m, r_k, R))
+        alive.add(columns)
+        built.append((n_m, r_k))
+        return columns
+
+    monkeypatch.setattr(sharedrep, "_colluder_columns", tracked)
     net = HaloNetwork(150, 0.2, seed=23)
     policy = AttackPolicy(1.0, seed=23)
     ex = SharedExchange(net, "dropoff", seed=23)
@@ -504,3 +528,32 @@ def test_one_group_of_colluder_columns_alive_at_a_time(monkeypatch):
         builds += len(built)
     # and misses sharing a group shared its columns
     assert builds < ex.forged_report.cache_info().misses
+
+
+def test_adversarial_epoch_memory_is_bounded():
+    """Every drop-off epoch under churn peaks below 1 MB of new
+    allocations: the epoch keeps no object per fold, and no colluder
+    columns outlive their group."""
+    net = HaloNetwork(200, 0.2, seed=1)
+    policy = AttackPolicy(1.0, seed=1)
+    ex = SharedExchange(net, "dropoff", seed=1)
+    rng = random.Random(1)
+    peaks = []
+    for i in range(1, 1001):
+        origin = rng.choice(net.honest_nodes())
+        halo_lookup(net, origin, rng.randrange(net.space), mode="shared",
+                    policy=policy, record=True)
+        if i % 4 == 0:
+            gone = rng.choice(net.ring.ids)
+            was_bad = net.is_malicious(gone)
+            net.leave(gone)
+            net.join(malicious=was_bad)
+        if i % 200 == 0:
+            tracemalloc.start()
+            try:
+                ex.run_epoch()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert len(peaks) == 5 and ex.forged_report.cache_info().misses > 0
+    assert max(peaks) < 1024 * 1024, peaks
