@@ -11,22 +11,23 @@ further clockwise.
 Each fact about a lookup is read off the ring once: one bisect for the
 target gives its owner v and v's predecessor, one per subsearch gives
 pred(y) and owner(y), and an attacked lookup asks for the colluders'
-answer once.  A subsearch's knuckle_exists flag says whether any live
-node holds v as its offset-i finger (idspace.Ring.pointing); on tiny
-rings that node can be v itself.
+answer once.  Whether a knuckle exists, a live node holding v as its
+offset-i finger (idspace.Ring.pointing; on tiny rings v itself), is
+read only when classify_failure is asked why a subsearch failed.
 
 Routing tables are derived from the live ring on demand, which keeps
 fingers and successor lists exact under churn, and are read by index
 from the ring's sorted ids: one bisect finds a node's successor window
 or a finger bucket's canonical finger, and the bucket's other members
-are the ids just before that finger.  The hop rule: a hop
-whose successor list covers the target names the target's predecessor
-directly (_window_covers); any other hop walks its finger buckets
+are the ids just before that finger.  The whole hop rule is one loop,
+_route_to_predecessor, which reads the ring and the mode once per
+route: a hop whose successor list covers the target names the
+target's predecessor directly; any other hop walks its finger buckets
 nearest first, over the members that make progress, and takes the
-first member its picker accepts, else the nearest bucket's pick.  Plain
+first member its pick accepts, else the nearest bucket's pick.  Plain
 Chord accepts the first member this lookup has not contacted yet; ReDS
 accepts the best-scored member when it scores at least JOIN_SCORE.
-Only the picker differs between the two.
+Only the per-bucket pick differs between the two.
 
 Membership (ids, colluders, stores, join, leave and the attack coin)
 is the shared core in overlay.Overlay.  Stores hold first-hand counts
@@ -68,31 +69,31 @@ class Subsearch:
     """Outcome of one finger-offset probe of a redundant lookup."""
 
     __slots__ = ("offset", "path", "neighbor", "candidate", "contacts",
-                 "hijack", "knuckle_exists", "agreed")
+                 "hijack", "agreed")
 
     def __init__(self, offset, path, neighbor, candidate, contacts,
-                 hijack, knuckle_exists):
+                 hijack):
         self.offset = offset
         self.path = path              # contacted nodes in routing order
         self.neighbor = neighbor      # z, the node owning target - 2**offset
         self.candidate = candidate
         self.contacts = contacts
         self.hijack = hijack          # None or a colluder failure reason
-        self.knuckle_exists = knuckle_exists
         self.agreed = None            # set after consolidation
 
 
 class LookupOutcome:
     """Consolidated result of one redundant lookup."""
 
-    __slots__ = ("origin", "target", "owner", "answer", "attacked",
-                 "mode", "subsearches")
+    __slots__ = ("origin", "target", "owner", "before", "answer",
+                 "attacked", "mode", "subsearches")
 
-    def __init__(self, origin, target, owner, answer, attacked, mode,
-                 subsearches):
+    def __init__(self, origin, target, owner, before, answer, attacked,
+                 mode, subsearches):
         self.origin = origin
         self.target = target
         self.owner = owner
+        self.before = before          # the live node just before owner
         self.answer = answer
         self.attacked = attacked
         self.mode = mode
@@ -114,10 +115,12 @@ class HaloNetwork(Overlay):
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
                  redundancy=None):
+        if not isinstance(successor_count, int) or successor_count < 0:
+            raise ValueError("successor_count must be an integer >= 0")
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
-        if bucket_size < 1:
-            raise ValueError("bucket_size below 1")
+        if not isinstance(bucket_size, int) or bucket_size < 1:
+            raise ValueError("bucket_size must be an integer >= 1")
         if redundancy is None:
             redundancy = min(REDUNDANCY, bits)   # one subsearch per offset
         if not 1 <= redundancy <= bits:
@@ -174,128 +177,88 @@ class HaloNetwork(Overlay):
         return nid
 
 
-def _window_covers(net, v, d):
-    """Whether the point d clockwise of live node v lies within v's
-    successor list (successor_count long, capped at the other live
-    nodes), so v can name both its predecessor and owner itself."""
-    ids = net.ring.ids
-    n = len(ids)
-    w = min(net.successor_count, n - 1)
-    if w <= 0:
-        return False
-    last = ids[(bisect_right(ids, v) + w - 1) % n]
-    return d <= (last - v) & (net.space - 1)
-
-
-def _walk_buckets(net, v, target, pick):
-    """The bucket walk of the hop rule, from v toward target.
-
-    Offset i's finger bucket is the canonical finger, the owner of
-    v + 2**i, and the live nodes just before it, bucket_size in all;
-    it ends early at v, or where it would come round to the canonical
-    finger again.  Seen from v its members come in falling clockwise
-    distance, best progress first.  pick(usable) gets one bucket's
-    members that make progress, in that order, and returns (candidate,
-    accepted).  v itself comes back when no finger makes progress,
-    meaning v is target's predecessor.
-    """
-    ids = net.ring.ids
-    n = len(ids)
-    mask = net.space - 1
-    size = min(net.bucket_size, n)
-    d = (target - v) & mask
-    nearest = None
-    for i in range(d.bit_length() - 1, -1, -1):
-        j = bisect_left(ids, (v + (1 << i)) & mask) % n
-        usable = []
-        for k in range(j, j - size, -1):   # negative k wraps past zero
-            c = ids[k]
-            if c == v and k != j:
-                break
-            if 0 < (c - v) & mask < d:
-                usable.append(c)
-        if not usable:
-            continue
-        cand, accepted = pick(usable)
-        if accepted:
-            return cand
-        if nearest is None:
-            nearest = cand
-    return v if nearest is None else nearest
-
-
-def chord_next_hop(net, v, target, avoid=()):
-    """v's finger landing closest to target without reaching it.
-
-    Contacts in avoid are sidestepped via bucket alternates, farther
-    buckets included, when possible, which keeps redundant subsearches
-    on disjoint paths.
-    """
-    def pick(usable):
-        for f in usable:
-            if f not in avoid:
-                return f, True
-        return usable[0], False
-    return _walk_buckets(net, v, target, pick)
-
-
-def reds_next_hop(net, v, target, avoid=()):
-    """Reputation-guided next hop: v picks the best-scored member of the
-    finger bucket nearest the remaining distance.
-
-    Scores are v's contact_score: the shared override, else its
-    first-hand score, each read once per member.  Selection is
-    deterministic maximum score; among the equal best, members outside
-    avoid are preferred, and v's store breaks what tie remains with its
-    sticky seeded break_tie.  A bucket whose members all score below
-    JOIN_SCORE (they have been observed doing worse than a newcomer
-    with no history at all) is skipped for the next farther bucket,
-    trading a little progress for a contact not known to be bad.  v
-    must be a live honest node (it needs a reputation store).
-    """
-    store = net.stores[v]
-
-    def pick(usable):
-        scores = [net.contact_score(v, c) for c in usable]
-        best = max(scores)
-        top = [c for c, s in zip(usable, scores) if s == best]
-        fresh = [c for c in top if c not in avoid] or top
-        return store.break_tie(fresh), best >= JOIN_SCORE
-    return _walk_buckets(net, v, target, pick)
-
-
 def _route_to_predecessor(net, origin, y, pred, mode, attacked, avoid):
     """Iteratively route from origin toward pred, the live node just
     before y.
 
     Returns (w, path, hijack, covered), hijack being the colluder
     failure reason or None.  Each hop is a network contact.  A hop
-    whose successor list covers y names pred(y) directly; any other
-    hop asks reds_next_hop when its node is reputed in this mode and
-    chord_next_hop else.  A colluder contacted during an attacked
-    lookup hijacks the subsearch and comes back as w.
+    whose successor list (successor_count long, capped at the other
+    live nodes) covers y names pred(y) directly.  Any other hop walks
+    its finger buckets nearest first.  Offset i's bucket is the
+    canonical finger, the owner of cur + 2**i, and the live nodes just
+    before it, bucket_size in all; it ends early at cur, or where it
+    would come round to the canonical finger again, and its members
+    that make progress come best progress first.  A hop whose node is
+    reputed in this mode (ReDS) picks the best contact_score, members
+    outside avoid first among the equal best and its store's sticky
+    break_tie deciding the rest, and accepts it at JOIN_SCORE or above,
+    so a bucket doing worse than a newcomer is skipped for a farther
+    one.  Any other hop (Chord) accepts the first member not in avoid.
+    With no bucket accepted the hop takes the nearest bucket's pick;
+    with no member making progress cur is pred(y) and the route ends.
+    A colluder contacted during an attacked lookup hijacks the
+    subsearch and comes back as w.
     covered is set when the hijacker is pred(y) named by such a
     short-circuiting hop, so the origin learned owner(y) from that
     honest node as well and a lying predecessor cannot conceal it.
     Nodes in avoid were contacted by earlier subsearches of the same
     lookup and are detoured around when an alternate contact exists.
     """
+    ids = net.ring.ids
+    n = len(ids)
+    mask = net.space - 1
+    window = min(net.successor_count, n - 1)
+    size = min(net.bucket_size, n)
+    stores = net.stores
+    malicious = net.malicious
     origin_reputed = mode in REPUTED_MODES
     relay_reputed = mode in ("collaborative", "shared")
-    malicious = net.malicious
-    mask = net.space - 1
     path = []
     cur = origin
     for _ in range(2 * net.bits):
         d = (y - cur) & mask
-        covered = d > 0 and _window_covers(net, cur, d)
+        covered = d > 0 and window > 0 and d <= (
+            ids[(bisect_right(ids, cur) + window - 1) % n] - cur) & mask
         if covered:
             nxt = pred
-        elif (origin_reputed if cur == origin
-              else relay_reputed and cur not in malicious):
-            nxt = reds_next_hop(net, cur, y, avoid=avoid)
         else:
-            nxt = chord_next_hop(net, cur, y, avoid=avoid)
+            store = stores[cur] if (
+                origin_reputed if cur == origin
+                else relay_reputed and cur not in malicious) else None
+            nxt = nearest = None
+            for i in range(d.bit_length() - 1, -1, -1):
+                j = bisect_left(ids, (cur + (1 << i)) & mask) % n
+                usable = []
+                for k in range(j, j - size, -1):   # k < 0 wraps past 0
+                    c = ids[k]
+                    if c == cur and k != j:
+                        break
+                    if 0 < (c - cur) & mask < d:
+                        usable.append(c)
+                if not usable:
+                    continue
+                if store is None:
+                    for cand in usable:
+                        if cand not in avoid:
+                            nxt = cand
+                            break
+                    else:
+                        cand = usable[0]
+                else:
+                    scores = [net.contact_score(cur, c) for c in usable]
+                    best = max(scores)
+                    top = [c for c, s in zip(usable, scores) if s == best]
+                    cand = store.break_tie(
+                        [c for c in top if c not in avoid] or top)
+                    if best >= JOIN_SCORE:
+                        nxt = cand
+                if nxt is not None:
+                    break
+                if nearest is None:
+                    nearest = cand
+            if nxt is None:
+                nxt = cur if nearest is None else nearest
         if nxt == cur:
             return cur, path, None, False
         path.append(nxt)
@@ -307,24 +270,21 @@ def _route_to_predecessor(net, origin, y, pred, mode, attacked, avoid):
     return cur, path, None, False
 
 
-def _subsearch(net, origin, target, owner, before, lie, offset, mode,
-               avoid):
+def _subsearch(net, origin, target, lie, offset, mode, avoid):
     """Probe target's owner through finger offset: route to w = pred(y)
     for y = target - 2**offset, and ask w and z = owner(y) for their
-    offset fingers.  owner and its live predecessor before are the
-    lookup's; lie is the colluders' answer in an attacked lookup, else
-    None (as when no colluder is live to attack)."""
+    offset fingers.  lie is the colluders' answer in an attacked
+    lookup, else None (as when no colluder is live to attack)."""
     ids = net.ring.ids
     y = (target - (1 << offset)) % net.space
     j = bisect_left(ids, y)
     pred, z = ids[j - 1], ids[j % len(ids)]
-    exists = bool(net.ring.pointing(owner, before, offset))
     attacked = lie is not None
     w, path, hijack, covered = _route_to_predecessor(net, origin, y, pred,
                                                      mode, attacked, avoid)
     if hijack is not None and not covered:
         return Subsearch(offset, tuple(path), None, lie, len(path),
-                         hijack, exists)
+                         hijack)
     # w and z each name their offset finger, unless a colluder in an
     # attacked lookup names the colluder closest to the target
     candidates = []
@@ -336,19 +296,20 @@ def _subsearch(net, origin, target, owner, before, lie, offset, mode,
             candidates.append(net.ring.finger(x, offset))
     best = clockwise_closest(target, candidates, net.bits)
     return Subsearch(offset, tuple(path), z, best,
-                     len(path) + len(candidates) - 1, hijack, exists)
+                     len(path) + len(candidates) - 1, hijack)
 
 
 def halo_lookup(net, origin, target, mode="regular", policy=None,
                 record=False):
     """Run one redundant lookup and consolidate the subsearch answers.
 
-    The target's owner, the live node just before it and, in an
-    attacked lookup, the colluders' answer are read once and shared by
-    every subsearch.  With record, in the reputation-guided modes, the
-    origin counts one use of the first contact on each subsearch path
-    that has one, a success when that subsearch agreed with the
-    consolidated answer; those counters drive its contact selection.
+    The target's owner, the live node just before it (kept on the
+    outcome for classify_failure) and, in an attacked lookup, the
+    colluders' answer are read once and shared by every subsearch.
+    With record, in the reputation-guided modes, the origin counts one
+    use of the first contact on each subsearch path that has one, a
+    success when that subsearch agreed with the consolidated answer;
+    those counters drive its contact selection.
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
@@ -362,8 +323,8 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
     subs = []
     contacted = set()
     for k in range(net.redundancy):
-        sub = _subsearch(net, origin, target, owner, before, lie,
-                         net.bits - 1 - k, mode, contacted)
+        sub = _subsearch(net, origin, target, lie, net.bits - 1 - k, mode,
+                         contacted)
         contacted.update(sub.path)
         if sub.neighbor is not None:
             contacted.add(sub.neighbor)
@@ -375,14 +336,17 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
         s.agreed = s.candidate == answer
         if record and mode in REPUTED_MODES and s.path:
             store.record(s.path[0], s.agreed)
-    return LookupOutcome(origin, target, owner, answer, attacked, mode,
-                         subs)
+    return LookupOutcome(origin, target, owner, before, answer, attacked,
+                         mode, subs)
 
 
-def classify_failure(sub):
-    """Reason a failed subsearch missed the owner, most specific first."""
+def classify_failure(net, out, sub):
+    """Reason sub, a failed subsearch of the lookup out, missed the
+    owner, most specific first.  Whether any live node holds the owner
+    as its offset finger (a knuckle) is read off the ring as it is now,
+    so ask before the ring changes."""
     if sub.hijack is not None:
         return sub.hijack
-    if not sub.knuckle_exists:
+    if not net.ring.pointing(out.owner, out.before, sub.offset):
         return KNUCKLE_NONEXISTENT
     return WRONG_SUCCESSOR

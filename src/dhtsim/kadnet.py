@@ -438,6 +438,8 @@ def warmup(net, lookups_per_node, policy=None, seed=0):
     """Populate buckets with lookups_per_node recorded regular-mode
     lookups from every honest node, in a fresh random permutation each
     round."""
+    if not isinstance(lookups_per_node, int) or lookups_per_node < 0:
+        raise ValueError("lookups_per_node must be an integer >= 0")
     rng = random.Random(seed)
     for _ in range(lookups_per_node):
         order = net.honest_nodes()

@@ -4,10 +4,17 @@ The simulator inlines or specialises these; here they stay in their
 general, checked form.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import comb, log2
 from random import Random
 
+from dhtsim.halonet import (
+    BAD_NODE_IN_PATH,
+    JOIN_SCORE,
+    KNUCKLE_COLLUDER,
+    REPUTED_MODES,
+    START_COLLUDER,
+)
 from dhtsim.idspace import shared_prefix_bits
 from dhtsim.sharedrep import GRID_STEPS, METHODS, aggregate
 
@@ -57,6 +64,110 @@ def finger_bucket(net, nid, offset):
             break
         out.append(cur)
     return out
+
+
+def window_covers(net, v, d):
+    """Whether the point d clockwise of live node v lies within v's
+    successor list (successor_count long, capped at the other live
+    nodes), so v can name both its predecessor and owner itself."""
+    ids = net.ring.ids
+    n = len(ids)
+    w = min(net.successor_count, n - 1)
+    if w <= 0:
+        return False
+    last = ids[(bisect_right(ids, v) + w - 1) % n]
+    return d <= (last - v) & (net.space - 1)
+
+
+def walk_buckets(net, v, target, pick):
+    """The bucket walk of Halo's hop rule, from v toward target.
+
+    Offset i's finger bucket is the canonical finger, the owner of
+    v + 2**i, and the live nodes just before it, bucket_size in all;
+    it ends early at v, or where it would come round to the canonical
+    finger again.  pick(usable) gets one bucket's members that make
+    progress, best progress first, and returns (candidate, accepted).
+    v itself comes back when no finger makes progress.
+    """
+    ids = net.ring.ids
+    n = len(ids)
+    mask = net.space - 1
+    size = min(net.bucket_size, n)
+    d = (target - v) & mask
+    nearest = None
+    for i in range(d.bit_length() - 1, -1, -1):
+        j = bisect_left(ids, (v + (1 << i)) & mask) % n
+        usable = []
+        for k in range(j, j - size, -1):   # negative k wraps past zero
+            c = ids[k]
+            if c == v and k != j:
+                break
+            if 0 < (c - v) & mask < d:
+                usable.append(c)
+        if not usable:
+            continue
+        cand, accepted = pick(usable)
+        if accepted:
+            return cand
+        if nearest is None:
+            nearest = cand
+    return v if nearest is None else nearest
+
+
+def chord_next_hop(net, v, target, avoid=()):
+    """Plain Chord's pick: the first bucket member, nearest bucket
+    first, that is not in avoid, else the nearest bucket's first."""
+    def pick(usable):
+        for f in usable:
+            if f not in avoid:
+                return f, True
+        return usable[0], False
+    return walk_buckets(net, v, target, pick)
+
+
+def reds_next_hop(net, v, target, avoid=()):
+    """ReDS's pick: in each bucket the best contact_score, members
+    outside avoid preferred among the equal best and v's break_tie
+    deciding the rest, accepted when it scores at least JOIN_SCORE."""
+    store = net.stores[v]
+
+    def pick(usable):
+        scores = [net.contact_score(v, c) for c in usable]
+        best = max(scores)
+        top = [c for c, s in zip(usable, scores) if s == best]
+        fresh = [c for c in top if c not in avoid] or top
+        return store.break_tie(fresh), best >= JOIN_SCORE
+    return walk_buckets(net, v, target, pick)
+
+
+def route_to_predecessor(net, origin, y, pred, mode, attacked, avoid):
+    """Halo's route from origin toward pred = pred(y), one helper call
+    per hop: (w, path, hijack, covered) as halonet's route returns it."""
+    origin_reputed = mode in REPUTED_MODES
+    relay_reputed = mode in ("collaborative", "shared")
+    malicious = net.malicious
+    mask = net.space - 1
+    path = []
+    cur = origin
+    for _ in range(2 * net.bits):
+        d = (y - cur) & mask
+        covered = d > 0 and window_covers(net, cur, d)
+        if covered:
+            nxt = pred
+        elif (origin_reputed if cur == origin
+              else relay_reputed and cur not in malicious):
+            nxt = reds_next_hop(net, cur, y, avoid=avoid)
+        else:
+            nxt = chord_next_hop(net, cur, y, avoid=avoid)
+        if nxt == cur:
+            return cur, path, None, False
+        path.append(nxt)
+        if attacked and nxt in malicious:
+            kind = START_COLLUDER if len(path) == 1 else (
+                KNUCKLE_COLLUDER if nxt == pred else BAD_NODE_IN_PATH)
+            return nxt, path, kind, covered
+        cur = nxt
+    return cur, path, None, False
 
 
 def knuckles(net, target):

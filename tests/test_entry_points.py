@@ -21,7 +21,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # Public names with no caller yet, each waiting on a ROADMAP item.
 UNCALLED = {
-    # item 6's failure-reason breakdown and item 10's lookup records
+    # classify_failure(net, out, sub), for item 6's failure-reason
+    # breakdown and item 10's lookup records
     "halonet.classify_failure",
     # item 3's use-based colluder in the live overlay
     "adversary.use_based_targets",

@@ -11,14 +11,11 @@ from dhtsim.halonet import (
     KNUCKLE_NONEXISTENT,
     MODES,
     START_COLLUDER,
+    SUCCESSOR_COUNT,
     HaloNetwork,
     _route_to_predecessor,
-    _walk_buckets,
-    _window_covers,
-    chord_next_hop,
     classify_failure,
     halo_lookup,
-    reds_next_hop,
 )
 from dhtsim.idspace import Ring, clockwise_closest, ring_distance
 from dhtsim.reputation import DEFAULT_PRIOR
@@ -29,11 +26,61 @@ from oracles import (
     ring_owner,
     ring_predecessor,
     ring_successors,
+    route_to_predecessor,
 )
 
 
 def small_net(n=64, colluding=0.0, seed=1, bits=16, **kw):
     return HaloNetwork(n, colluding, seed, bits=bits, **kw)
+
+
+def first_hop(net, v, y, mode="regular", avoid=()):
+    """v's next hop toward y by the program's route with the successor
+    list's short cut off: the bucket walk's pick, or v itself when no
+    bucket member makes progress.  In a reputed mode v picks with its
+    store, so it must have one."""
+    count = net.successor_count
+    net.successor_count = 0
+    try:
+        _, path, _, _ = _route_to_predecessor(net, v, y, None, mode, False,
+                                              set(avoid))
+    finally:
+        net.successor_count = count
+    return path[0] if path else v
+
+
+def window_covers(net, v, y):
+    """Whether the program's route from v names pred(y) outright from
+    v's successor list.  pred(y) acts as a colluder for one attacked
+    route, so a covered first hop comes back as a covered hijack there;
+    when pred(y) is v the route stops at v either way, and this is
+    False."""
+    pred = ring_predecessor(net.ring, y)
+    honest = pred not in net.malicious
+    net.malicious.add(pred)
+    try:
+        _, path, _, covered = _route_to_predecessor(net, v, y, pred,
+                                                    "regular", True, set())
+    finally:
+        if honest:
+            net.malicious.discard(pred)
+    return path == [pred] and covered
+
+
+class OfferLog:
+    """A stand-in store that scores every contact 0, below JOIN_SCORE,
+    so a ReDS hop accepts no bucket, and logs each bucket it is offered
+    to break a tie over, picking the bucket's first member."""
+
+    def __init__(self):
+        self.offered = []
+
+    def score(self, contact, prior=DEFAULT_PRIOR):
+        return 0.0
+
+    def break_tie(self, tied):
+        self.offered.append(list(tied))
+        return tied[0]
 
 
 def test_build_populates_roles():
@@ -118,7 +165,7 @@ def test_chord_next_hop_against_all_table_entries():
     for _ in range(500):
         v = rng.choice(net.ring.ids)
         y = rng.randrange(net.space)
-        got = chord_next_hop(net, v, y)
+        got = first_hop(net, v, y)
         d = ring_distance(v, y, net.bits)
         entries = set()
         for i in range(d.bit_length()):
@@ -138,10 +185,10 @@ def test_chord_next_hop_detours_around_avoided():
     for _ in range(200):
         v = rng.choice(net.ring.ids)
         y = rng.randrange(net.space)
-        first = chord_next_hop(net, v, y)
+        first = first_hop(net, v, y)
         if first == v:
             continue
-        alt = chord_next_hop(net, v, y, avoid={first})
+        alt = first_hop(net, v, y, avoid={first})
         if alt != first:
             d = ring_distance(v, y, net.bits)
             assert ring_distance(v, alt, net.bits) < d
@@ -168,10 +215,9 @@ def test_route_short_circuits_over_successor_list():
         succ = ring_successors(net.ring, v, net.successor_count)
         for y in succ[1:]:
             pred = net.ring.predecessor(y)
-            d = ring_distance(v, y, net.bits)
-            assert _window_covers(net, v, d)
+            assert window_covers(net, v, y)
             if pred not in nearest_progressing_bucket(net, v, y):
-                assert chord_next_hop(net, v, y) != pred
+                assert first_hop(net, v, y) != pred
                 cases.append((v, y, pred))
     assert sum(p in net.malicious for _, _, p in cases) >= 10
     assert sum(p not in net.malicious for _, _, p in cases) >= 10
@@ -201,19 +247,27 @@ def test_window_covers_matches_successor_list():
                 net.leave(nid)
         for _ in range(50):
             v = rng.choice(net.ring.ids)
-            d = ring_distance(v, rng.randrange(net.space), net.bits)
+            y = rng.randrange(net.space)
+            d = ring_distance(v, y, net.bits)
             net.successor_count = rng.randint(0, count + 2)
             succ = ring_successors(net.ring, v, net.successor_count)
             want = bool(succ) and d <= ring_distance(v, succ[-1], net.bits)
-            assert _window_covers(net, v, d) == want
+            if d == 0 or ring_predecessor(net.ring, y) == v:
+                # y is v, or v is pred(y): covered or not, no hop
+                w, path, _, _ = _route_to_predecessor(
+                    net, v, y, v, "regular", True, set())
+                assert (w, path) == (v, [])
+                continue
+            assert window_covers(net, v, y) == want
             seen.add(want)
     assert seen == {True, False}
 
 
 def test_walk_offers_each_oracle_bucket_in_order():
-    # a pick that never accepts sees every bucket holding a member that
-    # makes progress, nearest first, and the walk falls back to the
-    # nearest bucket's first member, or v when no bucket has one
+    # a ReDS hop whose store scores everyone below JOIN_SCORE accepts no
+    # bucket, so it is offered every bucket holding a member that makes
+    # progress, nearest first, and falls back to the nearest bucket's
+    # pick, its first member here, or v when no bucket has one
     rng = random.Random(39)
     buckets_seen = set()
     for bucket_size in (1, 2, 3, 4):
@@ -235,13 +289,16 @@ def test_walk_offers_each_oracle_bucket_in_order():
                     v = rng.randrange(net.space)   # need not be live
                 target = rng.choice(
                     [rng.randrange(net.space), rng.randint(-4, 4) % net.space])
-                offered = []
-
-                def pick(usable):
-                    offered.append(list(usable))
-                    return usable[0], False
-
-                got = _walk_buckets(net, v, target, pick)
+                log = OfferLog()
+                held = net.stores.get(v)
+                net.stores[v] = log
+                try:
+                    got = first_hop(net, v, target, mode="aboost")
+                finally:
+                    if held is None:
+                        del net.stores[v]
+                    else:
+                        net.stores[v] = held
                 d = ring_distance(v, target, net.bits)
                 want = []
                 for i in range(d.bit_length() - 1, -1, -1):
@@ -249,10 +306,107 @@ def test_walk_offers_each_oracle_bucket_in_order():
                               if 0 < ring_distance(v, c, net.bits) < d]
                     if bucket:
                         want.append(bucket)
-                assert offered == want
+                assert log.offered == want
                 assert got == (want[0][0] if want else v)
                 buckets_seen.update(len(b) for b in want)
     assert buckets_seen == {1, 2, 3, 4}
+
+
+def replay_net(kind, seed, bucket_size):
+    """A 25%-colluding ring with a history: joins, first-hand records
+    and shared overrides, some of both scoring contacts below
+    JOIN_SCORE.  shrunk leaves successor_count + 2 nodes; wrapped keeps
+    only the ids in the quarters either side of zero, so windows and
+    buckets wrap past it.  The same arguments build the same network."""
+    rng = random.Random(seed)
+    net = small_net(64, colluding=0.25, seed=seed, bits=10,
+                    bucket_size=bucket_size)
+    for _ in range(4):
+        net.join(malicious=rng.random() < 0.25)
+    if kind == "shrunk":
+        keep = net.successor_count + 2
+        for nid in rng.sample(net.ring.ids, len(net.ring) - keep):
+            net.leave(nid)
+    elif kind == "wrapped":
+        quarter = net.space // 4
+        for nid in list(net.ring.ids):
+            if quarter <= nid < 3 * quarter:
+                net.leave(nid)
+    honest = net.honest_nodes()
+    for v in honest:
+        for c in rng.sample(net.ring.ids, len(net.ring) // 2):
+            for _ in range(rng.randrange(3)):
+                net.stores[v].record(c, rng.random() < 0.5)
+    for v in rng.sample(honest, len(honest) // 2):
+        net.score_overrides[v] = {
+            c: rng.choice((0.0, 0.0, 0.2, JOIN_SCORE, 1.0))
+            for c in rng.sample(net.ring.ids, len(net.ring) // 2)}
+    return net
+
+
+def tie_state(net):
+    return {v: (st._tie_choice, st._rng and st._rng.getstate())
+            for v, st in net.stores.items()}
+
+
+def test_route_replays_oracle_hop_rule():
+    # the one-loop route against the hop rule run through one helper
+    # call per hop: the same (w, path, hijack, covered) on every route
+    # and the same tie-break draws, on two copies of each network;
+    # routes run as a lookup's subsearches do, so avoid fills from the
+    # earlier paths
+    rng = random.Random(42)
+    routes = 0
+    seen = {"mode": set(), "attacked": set(), "avoid": set(),
+            "count": set(), "size": set(), "hijack": set(),
+            "covered": set()}
+    wraps = 0
+    for kind in ("full", "shrunk", "wrapped"):
+        for size in (1, 2, 3, 4):
+            for seed in (rng.randrange(999), rng.randrange(999)):
+                net = replay_net(kind, seed, size)
+                ref = replay_net(kind, seed, size)
+                for _ in range(10):
+                    origin = rng.choice(net.honest_nodes())
+                    target = rng.choice(edge_targets(net, rng))
+                    mode = rng.choice(MODES)
+                    attacked = rng.random() < 0.5
+                    count = rng.randint(0, SUCCESSOR_COUNT + 2)
+                    net.successor_count = ref.successor_count = count
+                    avoid, ref_avoid = set(), set()
+                    for k in range(net.redundancy):
+                        y = (target - (1 << (net.bits - 1 - k))) % net.space
+                        pred = ring_predecessor(net.ring, y)
+                        seen["avoid"].add(bool(avoid))
+                        got = _route_to_predecessor(net, origin, y, pred,
+                                                    mode, attacked, avoid)
+                        want = route_to_predecessor(ref, origin, y, pred,
+                                                    mode, attacked,
+                                                    ref_avoid)
+                        assert got == want
+                        w, path, hijack, covered = got
+                        routes += 1
+                        hops = [origin] + path
+                        wraps += any(b < a for a, b in zip(hops, hops[1:]))
+                        for avoided in (avoid, ref_avoid):
+                            avoided.update(path)
+                            if hijack is None or covered:
+                                avoided.add(ring_owner(net.ring, y))
+                        seen["hijack"].add(hijack)
+                        seen["covered"].add(covered)
+                    seen["mode"].add(mode)
+                    seen["attacked"].add(attacked)
+                    seen["count"].add(count)
+                    seen["size"].add(size)
+                assert tie_state(net) == tie_state(ref)
+    assert routes >= 2000 and wraps > 100
+    assert seen["mode"] == set(MODES)
+    assert seen["count"] == set(range(SUCCESSOR_COUNT + 3))
+    assert seen["size"] == {1, 2, 3, 4}
+    assert seen["attacked"] == seen["avoid"] == seen["covered"] == \
+        {True, False}
+    assert {None, START_COLLUDER, BAD_NODE_IN_PATH,
+            KNUCKLE_COLLUDER} <= seen["hijack"]
 
 
 def test_route_reaches_predecessor():
@@ -283,9 +437,10 @@ def test_all_honest_lookup_finds_owner_or_all_knuckles_missing():
         out = halo_lookup(net, origin, t, mode="regular")
         if not out.correct:
             failures += 1
-            assert all(not s.knuckle_exists for s in out.subsearches)
+            assert all(not net.ring.pointing(out.owner, out.before, s.offset)
+                       for s in out.subsearches)
             for s in out.subsearches:
-                assert classify_failure(s) == KNUCKLE_NONEXISTENT
+                assert classify_failure(net, out, s) == KNUCKLE_NONEXISTENT
         else:
             assert out.answer == net.ring.owner(t)
     # both-sides-empty happens for all ten offsets about 1/121 of the time
@@ -373,8 +528,9 @@ def edge_targets(net, rng):
 
 @pytest.mark.parametrize("shrink", [True, False])
 def test_lookup_facts_match_brute_force(shrink):
-    # each lookup's owner and knuckle flags, and each subsearch's probes
-    # and answer, against scans of every live id; shrunk rings hold
+    # each lookup's owner, its predecessor and knuckle facts, and each
+    # subsearch's probes and answer, against scans of every live id;
+    # shrunk rings hold
     # successor_count + 2 nodes, so knuckle intervals are wide, wrap
     # past zero and can hold the owner
     rng = random.Random(41)
@@ -391,11 +547,13 @@ def test_lookup_facts_match_brute_force(shrink):
             out = halo_lookup(net, rng.choice(net.honest_nodes()), t,
                               mode=rng.choice(MODES), policy=policy)
             assert out.owner == ring_owner(ring, t)
+            assert out.before == ring_predecessor(ring, out.owner)
             lie = min(net.colluders, default=None,
                       key=lambda c: ring_distance(t, c, net.bits))
             for s in out.subsearches:
                 exists = bool(pointing_at(ring, out.owner, s.offset))
-                assert s.knuckle_exists == exists
+                assert bool(ring.pointing(out.owner, out.before,
+                                          s.offset)) == exists
                 flags.add(exists)
                 if s.neighbor is None:
                     # an uncovered hijack answers the colluders' lie
@@ -430,7 +588,7 @@ def test_classification_covers_reasons():
         out = halo_lookup(net, origin, t, mode="regular", policy=policy)
         for s in out.subsearches:
             if s.candidate != out.owner:
-                reason = classify_failure(s)
+                reason = classify_failure(net, out, s)
                 assert reason in FAILURE_REASONS
                 seen.add(reason)
                 if reason == START_COLLUDER:
@@ -451,8 +609,7 @@ def test_reds_next_hop_avoids_low_scored_contact():
         for i in range(1, net.bits):
             # halfway through offset i's range, past the successor list
             y = (origin + 3 * (1 << (i - 1))) % net.space
-            d = ring_distance(origin, y, net.bits)
-            if _window_covers(net, origin, d):
+            if window_covers(net, origin, y):
                 continue
             bucket = nearest_progressing_bucket(net, origin, y)
             if len(bucket) == 2:
@@ -463,12 +620,12 @@ def test_reds_next_hop_avoids_low_scored_contact():
         # nor the order of progress can pick the good one by accident
         for good, bad in (bucket, bucket[::-1]):
             net = small_net(64, seed=29, bucket_size=2)
-            assert reds_next_hop(net, origin, y) in bucket
+            assert first_hop(net, origin, y, mode="aboost") in bucket
             store = net.stores[origin]
             for _ in range(10):
                 store.record(good, True)
                 store.record(bad, False)
-            assert reds_next_hop(net, origin, y) == good
+            assert first_hop(net, origin, y, mode="aboost") == good
 
 
 def test_recorded_lookup_counts_first_contact_per_subsearch():
@@ -554,6 +711,24 @@ def test_lookup_argument_errors():
     for mode in MODES:
         with pytest.raises(ValueError):
             halo_lookup(net, gone, 1, mode=mode)
+
+
+def test_network_rejects_a_bad_successor_count():
+    # a negative count used to act as 0 without a word
+    for count in (-5, -1, 2.5, "8"):
+        with pytest.raises(ValueError):
+            HaloNetwork(100, seed=31, successor_count=count)
+    assert HaloNetwork(100, seed=31, successor_count=0).successor_count == 0
+
+
+def test_network_rejects_a_bad_bucket_size():
+    # a fractional size used to pass, and the first lookup then raised
+    # TypeError from range()
+    for size in (1.5, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError):
+            HaloNetwork(100, seed=31, bucket_size=size)
+    net = HaloNetwork(100, seed=31, bucket_size=1)
+    assert halo_lookup(net, net.honest_nodes()[0], 1).subsearches
 
 
 def test_join_prior_follows_join_order():

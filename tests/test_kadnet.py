@@ -357,6 +357,17 @@ class TestLookup:
         with pytest.raises(ValueError):
             kad_lookup(net, net.honest_nodes()[0], 17, mode="turbo")
 
+    def test_warmup_rejects_a_bad_lookup_count(self):
+        # a negative count used to return having run nothing
+        net = KadNetwork(50, seed=5)
+        for count in (-3, -1, 1.5, "2"):
+            with pytest.raises(ValueError):
+                warmup(net, count)
+        warmup(net, 0)
+        assert net.serial == 0
+        warmup(net, 1)
+        assert net.serial == len(net.honest_nodes())
+
     def test_key_outside_id_space_rejected(self):
         # such a key has no root, and its lookup used to charge q's
         # contacts failed uses anyway
