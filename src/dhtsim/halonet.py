@@ -38,7 +38,7 @@ the join prior, is kept on the network.
 from bisect import bisect_left, bisect_right
 
 from .idspace import DEFAULT_BITS, clockwise_closest
-from .overlay import Overlay
+from .overlay import Overlay, require_int
 
 REDUNDANCY = 10
 BUCKET_SIZE = 2
@@ -115,17 +115,14 @@ class HaloNetwork(Overlay):
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
                  redundancy=None):
-        if not isinstance(successor_count, int) or successor_count < 0:
-            raise ValueError("successor_count must be an integer >= 0")
+        super().__init__(n, colluding, seed, bits)
+        require_int("successor_count", successor_count, 0)
         if n < successor_count + 2:
             raise ValueError("need more nodes than the successor list")
-        if not isinstance(bucket_size, int) or bucket_size < 1:
-            raise ValueError("bucket_size must be an integer >= 1")
+        require_int("bucket_size", bucket_size, 1)
         if redundancy is None:
             redundancy = min(REDUNDANCY, bits)   # one subsearch per offset
-        if not 1 <= redundancy <= bits:
-            raise ValueError("redundancy outside [1, bits]")
-        super().__init__(n, colluding, seed, bits)
+        require_int("redundancy", redundancy, 1, bits)
         self.bucket_size = bucket_size
         self.successor_count = successor_count
         self.redundancy = redundancy

@@ -23,15 +23,16 @@ successes in 100 uses outlives one with no record at all.
 Membership (ids, colluders, stores, join, leave and the attack coin)
 is the shared core, overlay.Overlay; KadNetwork adds the contacts.
 
-Lookup accounting follows a per-lookup graph of who returned whom.
-When a lookup ends at the true closest replica root, a depth-first
-walk from that root credits every node on a returning path; every
-other live contact the querier queried records a miss, and contacts
-it never queried record nothing.  Every credited node was queried: it
-returned the root, or is the root, which as the nearest live id is
-queried before the search can end.  A lookup whose querier is itself
+Lookup accounting reads one map per lookup: each contact a query
+returned, mapped to the queried nodes that returned it, in arrival
+order.  When a lookup ends at the true closest replica root, a
+depth-first walk from that root through the map credits every node on
+a returning path; every other live contact the querier queried records
+a miss, and contacts it never queried record nothing.  Every credited
+node was queried: it returned the root, or is the root, which as the
+nearest live id is queried before the search can end.  A lookup whose querier is itself
 the true root tests no contact and records nothing.  A join
-self-lookup scores nothing, so it keeps no graph.
+self-lookup scores nothing, so it keeps no map.
 """
 
 import random
@@ -40,7 +41,7 @@ from itertools import groupby
 
 from .idspace import (DEFAULT_BITS, shared_prefix_bits, xor_closest,
                       xor_distance)
-from .overlay import Overlay
+from .overlay import Overlay, require_int
 
 DEFAULT_K = 10
 ALPHA = 7     # queries sent per lookup step
@@ -71,9 +72,6 @@ class KadNode:
         self.last_seen = {}   # contact id -> monotonic activity serial
         self.sorted_contacts = []
 
-    def knows(self, nid):
-        return nid in self.last_seen
-
     def bucket(self, j, bits):
         """The contacts sharing exactly j leading bits with this node:
         the aligned id block that differs from its id first at bit j."""
@@ -90,37 +88,11 @@ class KadNode:
             del self.sorted_contacts[bisect_left(self.sorted_contacts, nid)]
 
 
-class LookupGraph:
-    """Directed multigraph of one lookup: an edge u -> v records that v
-    returned u.  The querying node is a vertex; parallel edges and
-    cycles are kept as reported."""
-
-    def __init__(self, q):
-        self.q = q
-        self.vertices = {q}
-        self.out = {}     # child -> list of parents, in arrival order
-
-    def add_edge(self, u, v):
-        self.vertices.add(u)
-        self.vertices.add(v)
-        self.out.setdefault(u, []).append(v)
-
-    def add_query(self, queried, returned):
-        """Fold one query's results into the graph.
-
-        A queried node not yet in the graph came from the querier's own
-        contacts, so it points at the querier; every returned contact
-        points at whoever returned it, adding vertices only when new so
-        duplicate answers become parallel paths.
-        """
-        if queried not in self.vertices:
-            self.add_edge(queried, self.q)
-        for b in returned:
-            self.add_edge(b, queried)
-
-
 class KadLookupOutcome:
-    """Result of one iterative lookup, with the evidence to score it."""
+    """Result of one iterative lookup, with the evidence to score it:
+    graph maps each returned contact to the queried nodes that
+    returned it, in arrival order, and queried is every contact asked,
+    departed ones included."""
 
     def __init__(self, key, found_roots, closest_root, success, graph,
                  steps, queried):
@@ -140,15 +112,10 @@ class KadNetwork(Overlay):
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  k=DEFAULT_K, replica_count=DEFAULT_REPLICAS,
                  tolerance_bits=DEFAULT_TOLERANCE_BITS):
-        if n < 2:
-            raise ValueError("need at least two nodes")
-        if k < 1:
-            raise ValueError("need a bucket size of at least one")
-        if replica_count < 1:
-            raise ValueError("need at least one replica root")
-        if not 0 <= tolerance_bits <= bits:
-            raise ValueError("tolerance_bits outside [0, bits]")
         super().__init__(n, colluding, seed, bits)
+        require_int("k", k, 1)
+        require_int("replica_count", replica_count, 1)
+        require_int("tolerance_bits", tolerance_bits, 0, bits)
         self.ids = self.ring.ids
         self.k = k
         self.replica_count = replica_count
@@ -181,7 +148,7 @@ class KadNetwork(Overlay):
         responder files v passively, so v's near buckets fill and its
         neighbourhood learns it.  A protocol step rather than a scored
         lookup: it records no scores, takes no attack serial, keeps no
-        lookup graph, and colluders perform it too."""
+        returned-by map, and colluders perform it too."""
         _iterate(self, v, v, "regular", False, self.replica_roots(v))
 
     def replica_roots(self, key):
@@ -254,11 +221,11 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
 
 
 def credit_reputation(q, graph, closest_root):
-    """Vertices on returning paths from the found root, by depth-first
-    walk.  Each vertex is visited once, the walk never crosses the
-    querying node, and the root itself earns credit."""
-    if closest_root not in graph.vertices:
-        raise KeyError(closest_root)
+    """Nodes on returning paths from the found root, by depth-first
+    walk through graph, which maps each returned contact to the nodes
+    that returned it.  Each node is visited once, the walk never
+    crosses the querying node, and the root itself earns credit, even
+    when nothing returned it."""
     credited = set()
     stack = [closest_root]
     while stack:
@@ -266,7 +233,7 @@ def credit_reputation(q, graph, closest_root):
         if u in credited or u == q:
             continue
         credited.add(u)
-        stack.extend(graph.out.get(u, ()))
+        stack.extend(graph.get(u, ()))
     return credited
 
 
@@ -306,7 +273,7 @@ def _answer(net, v, key, attacked, mode, roots, truth, ranked):
             return pool, ranked[0] if attacked else own
         if attacked:
             return ranked[:BETA], ranked[0]
-        if truth is not None and node.knows(truth):
+        if truth is not None and truth in node.last_seen:
             near = xor_closest(node.sorted_contacts, key, BETA)
             return [truth] + [u for u in near if u != truth][:BETA - 1], truth
         return xor_closest(node.sorted_contacts, key, BETA), own
@@ -325,9 +292,11 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
     """Core of the iterative search: returns nominations, queried (the
     departed contacts it found included) and step count.  roots lists
     key's replica roots, nearest first, as replica_roots gives them.
-    When graph is a LookupGraph, every query's results are folded into
-    it; a lookup whose result nobody scores passes none.  The colluders
-    nearest key are ranked once, for every colluder that answers.
+    When graph is a dict, each returned contact is mapped in it to the
+    nodes that returned it, in arrival order, so a contact returned
+    twice lists two returners; a lookup whose result nobody scores
+    passes none.  The colluders nearest key are ranked once, for every
+    colluder that answers.
 
     Keeps a shortlist of the net.k closest contacts heard of, querying
     the ALPHA best unqueried entries each step: closest-first
@@ -383,7 +352,8 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
                 if answer not in returned and answer not in (v, q):
                     returned.append(answer)
             if graph is not None:
-                graph.add_query(v, returned)
+                for b in returned:
+                    graph.setdefault(b, []).append(v)
             bucket_insert(net, node_q, v, reds=reds)
             if v not in malicious:
                 bucket_insert(net, node_v, q, active=False)
@@ -397,7 +367,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
 
 def kad_lookup(net, q, key, mode="regular", policy=None):
     """Iterative lookup from q for key; returns the outcome with its
-    lookup graph.
+    returned-by map.
 
     The lookup succeeds when the closest root claimed to q is the true
     closest replica root; on success every node on a returning path is
@@ -416,7 +386,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     store = net.stores[q]
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None
-    graph = LookupGraph(q)
+    graph = {}
     nominated, queried, step = _iterate(
         net, q, key, mode, attacked, roots, graph)
     closest_root = min(nominated, key=lambda u: xor_distance(u, key),
@@ -438,8 +408,7 @@ def warmup(net, lookups_per_node, policy=None, seed=0):
     """Populate buckets with lookups_per_node recorded regular-mode
     lookups from every honest node, in a fresh random permutation each
     round."""
-    if not isinstance(lookups_per_node, int) or lookups_per_node < 0:
-        raise ValueError("lookups_per_node must be an integer >= 0")
+    require_int("lookups_per_node", lookups_per_node, 0)
     rng = random.Random(seed)
     for _ in range(lookups_per_node):
         order = net.honest_nodes()

@@ -17,10 +17,21 @@ from .idspace import DEFAULT_BITS, Ring, sample_ids
 from .reputation import ReputationStore
 
 
+def require_int(name, value, low, high=None):
+    """Raise ValueError unless value is an integer of at least low and,
+    when high is given, at most high."""
+    if not isinstance(value, int) or value < low or \
+            (high is not None and value > high):
+        bound = ">= %d" % low if high is None else "in [%d, %d]" % (low, high)
+        raise ValueError("%s must be an integer %s" % (name, bound))
+
+
 class Overlay:
     """Live members: sorted ids, colluder set, per-node reputation."""
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS):
+        require_int("n", n, 2)
+        require_int("bits", bits, 1)
         if not 0.0 <= colluding < 1.0:
             raise ValueError("colluding fraction outside [0, 1)")
         self.bits = bits

@@ -1,9 +1,9 @@
-"""No dead entry points: every public function and method in dhtsim has
-a caller in the program.
+"""No dead entry points: every public class, function and method in
+dhtsim has a caller in the program.
 
 The program is src/dhtsim plus the benchmark's non-test files under
 perfbench/.  Tests do not count: a name only a test calls belongs in
-tests/oracles.py.  Names are matched from the syntax trees.  A
+tests/oracles.py.  Names are matched from the syntax trees.  A class or
 module-level function counts as called only where the program names it
 bare, imports it, or reads it as <module>.<name>, so an attribute of
 another object sharing its name does not keep it alive.  Methods are
@@ -44,8 +44,8 @@ def trees(directory):
 
 
 def public_definitions():
-    """Dotted module.name or module.Class.name of every public function
-    and method defined in src/dhtsim."""
+    """Dotted module.name of every public class and function, and
+    module.Class.name of every public method, defined in src/dhtsim."""
     found = set()
     for module, tree in trees(SRC):
         for node in tree.body:
@@ -53,6 +53,8 @@ def public_definitions():
                     not node.name.startswith("_"):
                 found.add("%s.%s" % (module, node.name))
             elif isinstance(node, ast.ClassDef):
+                if not node.name.startswith("_"):
+                    found.add("%s.%s" % (module, node.name))
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and \
                             not item.name.startswith("_"):

@@ -731,6 +731,16 @@ def test_network_rejects_a_bad_bucket_size():
     assert halo_lookup(net, net.honest_nodes()[0], 1).subsearches
 
 
+def test_network_rejects_a_bad_redundancy():
+    # a fractional count used to pass, and the first lookup then raised
+    # TypeError from range()
+    for redundancy in (2.5, 3.0, "3", 0, 33):
+        with pytest.raises(ValueError):
+            HaloNetwork(100, seed=31, redundancy=redundancy)
+    net = HaloNetwork(100, seed=31, redundancy=3)
+    assert len(halo_lookup(net, net.honest_nodes()[0], 1).subsearches) == 3
+
+
 def test_join_prior_follows_join_order():
     # reference: each honest store pins JOIN_SCORE on every node that
     # joins while the store exists

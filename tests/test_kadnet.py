@@ -13,7 +13,6 @@ from dhtsim.kadnet import (
     POOL_CAP,
     KadNetwork,
     KadNode,
-    LookupGraph,
     bucket_insert,
     credit_reputation,
     kad_lookup,
@@ -26,38 +25,35 @@ from oracles import (bootstrap_contacts, closest_colluders, colluders_within,
                      random_key, truth_root, xor_nearest)
 
 
+def returned_by(*queries):
+    """The returned-by map _iterate builds from (queried, returned)
+    pairs in query order."""
+    graph = {}
+    for v, returned in queries:
+        for b in returned:
+            graph.setdefault(b, []).append(v)
+    return graph
+
+
 def fig2_graph():
     """The worked lookup graph: three first-step queries, two deeper
     levels, root r4 returned by two different contacts."""
-    g = LookupGraph("q")
-    g.add_query("a27", ["b12", "b15"])
-    g.add_query("a22", ["b12", "b10"])
-    g.add_query("a25", ["b10", "b14"])
-    g.add_query("b12", ["b30", "b15"])
-    g.add_query("b10", ["r4"])
-    g.add_query("b14", ["r4", "r7"])
-    return g
+    return returned_by(("a27", ["b12", "b15"]), ("a22", ["b12", "b10"]),
+                       ("a25", ["b10", "b14"]), ("b12", ["b30", "b15"]),
+                       ("b10", ["r4"]), ("b14", ["r4", "r7"]))
 
 
 class TestLookupGraph:
-    def test_first_step_edges_point_at_querier(self):
-        g = LookupGraph("q")
-        g.add_query("a1", ["b1", "b2"])
-        assert g.out["a1"] == ["q"]
-        assert g.out["b1"] == ["a1"] and g.out["b2"] == ["a1"]
-
-    def test_later_steps_add_no_querier_edge(self):
-        g = LookupGraph("q")
-        g.add_query("a1", ["b1"])
-        g.add_query("b1", ["c1"])
-        assert g.out["b1"] == ["a1"]   # no edge to q
-        assert g.out["c1"] == ["b1"]
+    def test_returned_contacts_point_at_their_returner(self):
+        g = returned_by(("a1", ["b1", "b2"]), ("b1", ["c1"]))
+        # a1, queried from q's own contacts, points at nothing: not at q
+        assert g == {"b1": ["a1"], "b2": ["a1"], "c1": ["b1"]}
 
     def test_duplicate_returns_make_parallel_paths(self):
         g = fig2_graph()
-        # b12 returned by both a27 and a22: one vertex, two edges
-        assert sorted(g.out["b12"]) == ["a22", "a27"]
-        assert len(g.vertices) == len(set(g.vertices))
+        # b12 returned by both a27 and a22: one key, two returners
+        assert sorted(g["b12"]) == ["a22", "a27"]
+        assert len(g) == len(set(g))
 
     def test_worked_example_credits(self):
         g = fig2_graph()
@@ -65,19 +61,11 @@ class TestLookupGraph:
             "r4", "b10", "b14", "a22", "a25"}
 
     def test_root_with_no_parents_credits_only_itself(self):
-        g = LookupGraph("q")
-        g.vertices.add("r")
-        assert credit_reputation("q", g, "r") == {"r"}
+        assert credit_reputation("q", {}, "r") == {"r"}
 
     def test_cycle_terminates(self):
-        g = LookupGraph("q")
-        g.add_query("a", ["b"])
-        g.add_query("b", ["a"])   # ancestor returned: cycle
+        g = returned_by(("a", ["b"]), ("b", ["a"]))   # ancestor returned
         assert credit_reputation("q", g, "b") == {"a", "b"}
-
-    def test_missing_root_raises(self):
-        with pytest.raises(KeyError):
-            credit_reputation("q", fig2_graph(), "nope")
 
     def test_querier_never_credited(self):
         g = fig2_graph()
@@ -92,13 +80,12 @@ class TestLookupGraph:
         for _ in range(180):
             size = rng.randrange(2, 12)
             names = list(range(size))
-            g = LookupGraph("q")
-            g.vertices.update(names)
+            g = {}
             for _ in range(rng.randrange(1, 25)):
                 u = rng.choice(names)
                 v = rng.choice(names + ["q"])
                 if u != v:
-                    g.add_edge(u, v)
+                    g.setdefault(u, []).append(v)
             for root in names:
                 want = set()
                 frontier = [root]
@@ -107,7 +94,7 @@ class TestLookupGraph:
                     if u in want or u == "q":
                         continue
                     want.add(u)
-                    frontier.extend(g.out.get(u, ()))
+                    frontier.extend(g.get(u, ()))
                 assert credit_reputation("q", g, root) == want
                 cases += 1
         assert cases >= 1000
@@ -276,6 +263,16 @@ class TestReplicaRoots:
         KadNetwork(10, k=1, tolerance_bits=0)
         KadNetwork(10, bits=8, tolerance_bits=8)
 
+    @pytest.mark.parametrize("option", ["k", "replica_count",
+                                        "tolerance_bits"])
+    def test_build_rejects_a_non_integer_size(self, option):
+        # k and replica_count used to raise TypeError from a slice, and
+        # tolerance_bits=2.5 passed until random_key raised
+        for value in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError):
+                KadNetwork(50, seed=1, **{option: value})
+        assert getattr(KadNetwork(50, seed=1, **{option: 2}), option) == 2
+
 
 class TestBuild:
     def test_seed_contacts_draw_as_sampling_the_others(self):
@@ -303,12 +300,13 @@ class TestBuild:
                 key = net.random_key(rng)
                 roots = net.replica_roots(key)
                 with_graph, without = copy.deepcopy(net), copy.deepcopy(net)
-                graph = LookupGraph(q)
+                graph = {}
                 got = _iterate(with_graph, q, key, mode, attacked, roots,
                                graph)
                 assert _iterate(without, q, key, mode, attacked,
                                 roots) == got
-                assert graph.vertices >= got[1]
+                # each queried node was returned or was q's own contact
+                assert got[1] <= set(graph) | set(net.nodes[q].last_seen)
                 assert with_graph.clock == without.clock
                 assert with_graph.rng.getstate() == without.rng.getstate()
                 for v, node in with_graph.nodes.items():
@@ -445,7 +443,7 @@ class TestLookup:
             truth = truth_root(net, key)
             ranked = closest_colluders(net, key, POOL_CAP)
             v = ranked[0]
-            if v == truth or not net.nodes[v].knows(truth):
+            if v == truth or truth not in net.nodes[v].last_seen:
                 continue
             roots = set(net.replica_roots(key))
             returned, nominee = _answer(net, v, key, False, "regular",
@@ -465,7 +463,7 @@ class TestLookup:
         out = kad_lookup(net, q, net.random_key(rng))
         assert out.success
         credited = credit_reputation(q, out.graph, out.closest_root)
-        for u in out.graph.vertices:
+        for u in set(out.graph) | out.queried:
             if u == q or u not in net.nodes:
                 continue
             succ, uses = store.counts[u]
@@ -485,7 +483,7 @@ class TestLookup:
         net.leave(gone)
         for _ in range(40):
             kad_lookup(net, q, net.random_key(rng))
-        assert not node_q.knows(gone)
+        assert gone not in node_q.last_seen
         assert gone not in net.stores[q].counts
 
     def test_join_uses_fresh_id_and_is_reachable(self):
@@ -497,7 +495,7 @@ class TestLookup:
         assert nid in net.nodes and nid in net.stores
         # the newcomer's own vicinity learned it during the join
         knowers = sum(1 for v, node in net.nodes.items()
-                      if v != nid and node.knows(nid))
+                      if v != nid and nid in node.last_seen)
         assert knowers > 0
 
     @pytest.mark.parametrize("mode", ["regular", "aboost", "collaborative"])
@@ -622,6 +620,19 @@ class TestLookup:
         assert checked > 200
 
     @pytest.mark.parametrize("colluding", [0.0, 0.2, 0.4])
+    def test_returned_by_map_names_only_queried_returners(self, colluding):
+        """Every returner the map lists was queried, and the querier is
+        neither returned nor a returner."""
+        returners = 0
+        for net, q, _, out in self.churned_lookups(colluding):
+            assert q not in out.graph
+            for b, by in out.graph.items():
+                assert by and set(by) <= out.queried
+                assert q not in by
+                returners += len(by)
+        assert returners > 10000
+
+    @pytest.mark.parametrize("colluding", [0.0, 0.2, 0.4])
     def test_lookup_ends_with_the_nearest_live_contacts_queried(
             self, colluding):
         """A lookup stops only once the k live ids nearest the key among
@@ -629,7 +640,7 @@ class TestLookup:
         its shortlist place for the next live one."""
         departed = 0
         for net, q, contacts, out in self.churned_lookups(colluding):
-            heard = (set(contacts) | out.graph.vertices) - {q}
+            heard = (set(contacts) | set(out.graph) | out.queried) - {q}
             live = [u for u in heard if u in net.nodes]
             assert set(xor_nearest(live, out.key, net.k)) <= out.queried
             departed += sum(1 for u in out.queried if u not in net.nodes)

@@ -88,3 +88,16 @@ def test_join_on_a_used_up_id_space_raises(overlay, options):
     if overlay is KadNetwork:
         with pytest.raises(ValueError):
             KadNetwork(4, bits=2, tolerance_bits=0).join()
+
+
+@OVERLAYS
+def test_size_arguments_must_be_integers(overlay):
+    # HaloNetwork(20.5) used to build 21 nodes, KadNetwork(10.5) raised
+    # AttributeError and bits=2.5 raised TypeError
+    for n in (20.5, 20.0, "20", 1, 0, -3):
+        with pytest.raises(ValueError):
+            overlay(n)
+    for bits in (10.5, 10.0, "10", 0, -1):
+        with pytest.raises(ValueError):
+            overlay(20, bits=bits)
+    assert len(overlay(20, bits=10).ring) == 20
