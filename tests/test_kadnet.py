@@ -44,10 +44,19 @@ def fig2_graph():
 
 
 class TestLookupGraph:
-    def test_returned_contacts_point_at_their_returner(self):
-        g = returned_by(("a1", ["b1", "b2"]), ("b1", ["c1"]))
-        # a1, queried from q's own contacts, points at nothing: not at q
-        assert g == {"b1": ["a1"], "b2": ["a1"], "c1": ["b1"]}
+    def test_first_step_edges_point_at_querier(self):
+        g = returned_by(("a1", ["b1", "b2"]))
+        assert g["b1"] == ["a1"] and g["b2"] == ["a1"]
+        # a1 came from q's own contacts: its one returner, q, is left
+        # implicit, so the walk from b1 stops at a1 without reaching q
+        assert "a1" not in g
+        assert credit_reputation("q", g, "b1") == {"b1", "a1"}
+
+    def test_later_steps_add_no_querier_edge(self):
+        g = returned_by(("a1", ["b1"]), ("b1", ["c1"]))
+        assert g["b1"] == ["a1"]   # no edge to q
+        assert g["c1"] == ["b1"]
+        assert g == {"b1": ["a1"], "c1": ["b1"]}
 
     def test_duplicate_returns_make_parallel_paths(self):
         g = fig2_graph()
