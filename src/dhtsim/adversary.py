@@ -9,6 +9,8 @@ estimated selection probability.
 
 import math
 
+from .overlay import require_int
+
 _M64 = (1 << 64) - 1
 
 
@@ -102,8 +104,7 @@ def use_based_targets(ring, attacker, m):
         raise ValueError("attacker %r is not a live id" % (attacker,))
     n = len(ring)
     top = int(math.log2(n))
-    if not 1 <= m <= top:
-        raise ValueError("m outside 1..log2(n)")
+    require_int("m", m, 1, top)
     victims = []
     before = ring.predecessor(attacker)
     for j in range(1, m + 1):

@@ -12,6 +12,7 @@ shout down the victims' reports in the shared-score exchange.
 import math
 import random
 
+from .overlay import require_int
 from .sharedrep import _check_method, aggregate
 
 DEFAULT_HONEST_SCORE = 0.90
@@ -30,8 +31,7 @@ class OscillationModel:
 
     def __init__(self, alpha_ewma, beta_bias, s_h=DEFAULT_HONEST_SCORE,
                  s0=1.0, lookups=DEFAULT_LOOKUPS):
-        if not isinstance(lookups, int) or lookups < 1:
-            raise ValueError("lookups must be a whole number, at least 1")
+        require_int("lookups", lookups, 1)
         if not 0.0 < s_h <= 1.0 or not 0.0 < s0 <= 1.0:
             raise ValueError("scores outside (0, 1]")
         if not 0.0 <= alpha_ewma <= 1.0:
@@ -143,13 +143,10 @@ def use_based_sim(n, lookups, m, s, f, method="dropoff", seed=0,
     many victims are present, and average and median draw no rng, so
     they aggregate each count once; drop-off aggregates every trial.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 nodes")
+    require_int("n", n, 2)
     k = int(math.log2(n))
-    if not isinstance(m, int) or not 1 <= m <= k:
-        raise ValueError("m must be a whole number in 1..log2(n)")
-    if not isinstance(lookups, int) or lookups < 1:
-        raise ValueError("lookups must be a whole number, at least 1")
+    require_int("m", m, 1, k)
+    require_int("lookups", lookups, 1)
     _check_method(method)
     if not all(0.0 <= v <= 1.0 for v in (s, f, victim_presence)):
         raise ValueError("s, f and victim_presence must lie in [0, 1]")

@@ -310,8 +310,7 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % mode)
-    if not 0 <= target < net.space:
-        raise ValueError("target outside [0, 2**bits)")
+    require_int("target", target, 0, net.space - 1)
     attacked = net.attack_coin(origin, policy)
     ids = net.ring.ids
     i = bisect_left(ids, target)

@@ -3,9 +3,14 @@
 All identifiers are unsigned integers below 2**bits.  The ring metric is
 directional (clockwise); the XOR metric is a true metric.  A Ring holds
 the sorted ids of live nodes and answers ownership queries, which keeps
-routing tables implicitly consistent under churn.  xor_closest finds
-the XOR-nearest ids of a sorted list by sorting only the smallest
-aligned block around the key that holds enough of them.
+routing tables implicitly consistent under churn.
+
+The ids agreeing with a key above some bit form one aligned block, a
+contiguous run of a sorted id list.  aligned_block is the one rule that
+slices such a block out: Kademlia's k-buckets and its replica roots in
+the tolerance zone are aligned blocks, and xor_closest finds the
+XOR-nearest ids of a sorted list by sorting only the smallest aligned
+block around the key that holds enough of them.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -13,32 +18,15 @@ from bisect import bisect_left, bisect_right, insort
 DEFAULT_BITS = 32
 
 
-def ring_distance(a, b, bits=DEFAULT_BITS):
-    """Clockwise distance from a to b: (b - a) mod 2**bits."""
-    return (b - a) % (1 << bits)
-
-
-def xor_distance(a, b):
-    """XOR of the two ids taken as an integer."""
-    return a ^ b
-
-
-def shared_prefix_bits(a, b, bits=DEFAULT_BITS):
-    """Length of the common most-significant-bit prefix of a and b."""
-    x = a ^ b
-    if x == 0:
-        return bits
-    return bits - x.bit_length()
-
-
-def clockwise_closest(target, candidates, bits=DEFAULT_BITS):
+def clockwise_closest(target, candidates, bits):
     """The candidate reached first when walking clockwise from target."""
     if not candidates:
         raise ValueError("empty candidate set")
-    return min(candidates, key=lambda c: ring_distance(target, c, bits))
+    space = 1 << bits
+    return min(candidates, key=lambda c: (c - target) % space)
 
 
-def sample_ids(n, rng, bits=DEFAULT_BITS):
+def sample_ids(n, rng, bits):
     """n distinct ids drawn uniformly from the space, sorted ascending."""
     space = 1 << bits
     if n > space:
@@ -52,7 +40,7 @@ def sample_ids(n, rng, bits=DEFAULT_BITS):
 class Ring:
     """Sorted set of live node ids with Chord-style ownership queries."""
 
-    def __init__(self, ids, bits=DEFAULT_BITS):
+    def __init__(self, ids, bits):
         self.bits = bits
         self.space = 1 << bits
         self.ids = sorted(ids)
@@ -109,18 +97,28 @@ class Ring:
         return self.owner((nid + (1 << i)) % self.space)
 
 
+def aligned_block(ids, key, level):
+    """The run of the sorted list ids that agrees with key above bit
+    level: the ids in [key >> level << level, that + 2**level), found
+    with two bisects.  Every id in it is XOR-nearer key than every id
+    outside it.  A level at or above every id's bit length gives the
+    whole list."""
+    base = key >> level << level
+    lo = bisect_left(ids, base)
+    return ids[lo:bisect_left(ids, base + (1 << level), lo)]
+
+
 def xor_closest(ids, key, count=1):
     """The count ids nearest key by XOR distance; ids must be sorted.
 
-    The ids agreeing with key above some level s form an aligned block,
-    a contiguous run of the sorted list, and every id inside it is
-    nearer key than any id outside it.  So the count nearest ids lie in
-    the smallest such block holding count ids.  That block contains
-    key's insertion point i0, and so some window of count consecutive
-    ids around i0; a window's level is the larger of its two ends'
-    XOR bit lengths, since the ids between them agree with key at least
-    as far.  s is the least level over the windows holding i0 (count + 1
-    of them, fewer near either end), two bisects find the block, and one sort by XOR orders it.  The
+    Every id of an aligned block around key is nearer key than any id
+    outside it, so the count nearest ids lie in the smallest such block
+    holding count ids.  That block contains key's insertion point i0,
+    and so some window of count consecutive ids around i0; a window's
+    level is the larger of its two ends' XOR bit lengths, since the ids
+    between them agree with key at least as far.  The block's level is
+    the least level over the windows holding i0 (count + 1 of them,
+    fewer near either end), and one sort by XOR orders the block.  The
     levels come from the ids themselves, so no id width is needed.
     Worst case: when key's half of the space holds no id, the block is
     the whole list, ordered by one sort.
@@ -140,8 +138,6 @@ def xor_closest(ids, key, count=1):
             s = t
         if s < level:
             level = s
-    base = key >> level << level
-    lo = bisect_left(ids, base)
-    block = ids[lo:bisect_left(ids, base + (1 << level), lo)]
+    block = aligned_block(ids, key, level)
     block.sort(key=key.__xor__)
     return block[:count]

@@ -1,24 +1,27 @@
 """Kademlia-style overlay with iterative parallel lookups.
 
-Each node keeps its contacts once, as a sorted id list with a
-last-seen serial per contact.  Its k-bucket for shared-prefix length j
-is not stored apart: the contacts sharing exactly j leading bits with
-the node's id form one contiguous run of that list.  A node joins as in
-Kademlia (Maymounkov & Mazieres, IPTPS 2002, section 2.3): it starts
-from a few random contacts and looks up its own id through them, which
-fills its near buckets and lets the honest nodes it queries file it.
-After that, nodes learn contacts opportunistically from lookup
-traffic, which is exactly what a colluding adversary exploits:
-attacked queries answer with the colluders nearest the key, and even
-unattacked ones pad their answers with colluders to pollute routing
-tables.  _answer is the single rule for what a queried node replies:
-the contacts it returns and the root it nominates.  The reputation
-variants fight back at three points: the querier picks contacts by
-score, every honest responder picks within its bucket by score, and
-bucket eviction ejects the entry with the fewest recorded successes
-instead of the least recent one.  Eviction counts successes, not the
-score: failures do not count against a contact, so one with 3
-successes in 100 uses outlives one with no record at all.
+Each node keeps its contacts once, as a sorted id list with a last-seen
+serial per contact.  Its k-buckets are not stored apart: the contacts
+that differ from the node's id first at bit i all agree with each other
+above bit i, so each bucket is an idspace.aligned_block of that list.
+A key's replica roots are the nearest ids of its tolerance zone, the
+aligned block of live ids agreeing with the key in its first
+tolerance_bits bits.  A node joins as in Kademlia (Maymounkov &
+Mazieres, IPTPS 2002, section 2.3): it starts from a few random
+contacts and looks up its own id through them, which fills its near
+buckets and lets the honest nodes it queries file it.  After that,
+nodes learn contacts opportunistically from lookup traffic, which is
+exactly what a colluding adversary exploits: attacked queries answer
+with the colluders nearest the key, and even unattacked ones pad their
+answers with colluders to pollute routing tables.  _answer is the
+single rule for what a queried node replies: the contacts it returns
+and the root it nominates.  The reputation variants fight back at three
+points: the querier picks contacts by score, every honest responder
+picks within its bucket by score, and bucket eviction ejects the entry
+with the fewest recorded successes instead of the least recent one.
+Eviction counts successes, not the score: failures do not count against
+a contact, so one with 3 successes in 100 uses outlives one with no
+record at all.
 
 Membership (ids, colluders, stores, join, leave and the attack coin)
 is the shared core, overlay.Overlay; KadNetwork adds the contacts.
@@ -39,8 +42,7 @@ import random
 from bisect import bisect_left, insort
 from itertools import groupby
 
-from .idspace import (DEFAULT_BITS, shared_prefix_bits, xor_closest,
-                      xor_distance)
+from .idspace import DEFAULT_BITS, aligned_block, xor_closest
 from .overlay import Overlay, require_int
 
 DEFAULT_K = 10
@@ -63,23 +65,14 @@ class KadNode:
 
     sorted_contacts lists every contact id in ascending order and
     last_seen maps each one to its last activity serial.  Buckets are
-    runs of sorted_contacts (see bucket), so nothing else needs to be
-    kept in step.
+    aligned blocks of sorted_contacts (see bucket_insert), so nothing
+    else needs to be kept in step.
     """
 
     def __init__(self, nid):
         self.id = nid
         self.last_seen = {}   # contact id -> monotonic activity serial
         self.sorted_contacts = []
-
-    def bucket(self, j, bits):
-        """The contacts sharing exactly j leading bits with this node:
-        the aligned id block that differs from its id first at bit j."""
-        width = 1 << (bits - j - 1)
-        lo = (self.id ^ width) & ~(width - 1)
-        contacts = self.sorted_contacts
-        i = bisect_left(contacts, lo)
-        return contacts[i:bisect_left(contacts, lo + width, i)]
 
     def drop(self, nid):
         """Remove a contact observed to be gone."""
@@ -153,11 +146,11 @@ class KadNetwork(Overlay):
 
     def replica_roots(self, key):
         """The closest replica_count nodes agreeing with key in the
-        first tolerance_bits bits, nearest first."""
-        near = xor_closest(self.ids, key, self.replica_count)
-        return [u for u in near
-                if shared_prefix_bits(u, key, self.bits)
-                >= self.tolerance_bits]
+        first tolerance_bits bits, nearest first: the XOR-nearest ids of
+        key's tolerance block, which are nearer key than every id
+        outside it."""
+        zone = aligned_block(self.ids, key, self.bits - self.tolerance_bits)
+        return xor_closest(zone, key, self.replica_count)
 
     def random_key(self, rng):
         """A uniform key among those with at least one replica root in
@@ -186,6 +179,10 @@ class KadNetwork(Overlay):
 def bucket_insert(net, node, candidate, reds=False, active=True):
     """File candidate into node's bucket for their shared prefix.
 
+    That bucket is the contacts differing from node's id first at the
+    same bit i as candidate, which are the contacts agreeing with
+    candidate above bit i: their aligned block at level i.
+
     A full bucket evicts the least-recently-seen entry, or under the
     reputation policy the entry with the fewest successes in node's
     store (uses and failures are not counted), least-recently-seen
@@ -202,8 +199,8 @@ def bucket_insert(net, node, candidate, reds=False, active=True):
         if not active:
             return
     else:
-        bucket = node.bucket(shared_prefix_bits(node.id, candidate, net.bits),
-                             net.bits)
+        bucket = aligned_block(node.sorted_contacts, candidate,
+                               (node.id ^ candidate).bit_length() - 1)
         if len(bucket) >= net.k:
             if not active:
                 return
@@ -278,12 +275,10 @@ def _answer(net, v, key, attacked, mode, roots, truth, ranked):
             return [truth] + [u for u in near if u != truth][:BETA - 1], truth
         return xor_closest(node.sorted_contacts, key, BETA), own
     if mode == "collaborative":
-        dist = xor_distance(v, key)
-        closer = [u for u in node.sorted_contacts
-                  if xor_distance(u, key) < dist]
+        dist = v ^ key
+        closer = [u for u in node.sorted_contacts if u ^ key < dist]
         store = net.stores[v]
-        closer.sort(key=lambda u: (-store.score(u),
-                                   xor_distance(u, key)))
+        closer.sort(key=lambda u: (-store.score(u), u ^ key))
         return closer[:BETA], own
     return xor_closest(node.sorted_contacts, key, BETA), own
 
@@ -323,7 +318,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
     # dist every id ever listed, dead ones included.  q's contacts never
     # include q, and distinct ids have distinct distances, so one sort
     # seeds the shortlist in the order insorting them one by one would.
-    dist = {u: xor_distance(u, key) for u in node_q.sorted_contacts}
+    dist = {u: u ^ key for u in node_q.sorted_contacts}
     shortlist = sorted([(d, u) for u, d in dist.items()])
     queried = set()
     nominated = {q} if q in roots else set()
@@ -359,7 +354,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
                 bucket_insert(net, node_v, q, active=False)
             for b in returned:
                 if b not in dist:
-                    d = dist[b] = xor_distance(b, key)
+                    d = dist[b] = b ^ key
                     insort(shortlist, (d, b))
         step += 1
     return nominated, queried, step
@@ -380,8 +375,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     """
     if mode not in MODES:
         raise ValueError("unknown mode %r" % (mode,))
-    if not 0 <= key < net.space:
-        raise ValueError("key outside [0, 2**bits)")
+    require_int("key", key, 0, net.space - 1)
     attacked = net.attack_coin(q, policy)
     store = net.stores[q]
     roots = net.replica_roots(key)
@@ -389,8 +383,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     graph = {}
     nominated, queried, step = _iterate(
         net, q, key, mode, attacked, roots, graph)
-    closest_root = min(nominated, key=lambda u: xor_distance(u, key),
-                       default=None)
+    closest_root = min(nominated, key=key.__xor__, default=None)
     success = closest_root is not None and closest_root == truth
     if truth != q:
         if success:

@@ -15,8 +15,33 @@ from dhtsim.halonet import (
     REPUTED_MODES,
     START_COLLUDER,
 )
-from dhtsim.idspace import shared_prefix_bits
+from dhtsim.idspace import DEFAULT_BITS
 from dhtsim.sharedrep import GRID_STEPS, METHODS, aggregate
+
+
+def ring_distance(a, b, bits=DEFAULT_BITS):
+    """Clockwise distance from a to b: (b - a) mod 2**bits."""
+    return (b - a) % (1 << bits)
+
+
+def xor_distance(a, b):
+    """XOR of the two ids taken as an integer."""
+    return a ^ b
+
+
+def shared_prefix_bits(a, b, bits=DEFAULT_BITS):
+    """Length of the common most-significant-bit prefix of a and b."""
+    x = a ^ b
+    if x == 0:
+        return bits
+    return bits - x.bit_length()
+
+
+def kad_bucket(node, j, bits):
+    """node's k-bucket j: its contacts sharing exactly j leading bits
+    with its id, by scanning every contact."""
+    return [u for u in node.sorted_contacts
+            if shared_prefix_bits(node.id, u, bits) == j]
 
 
 def ring_successors(ring, nid, count):

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from dhtsim.adversary import OneThreshold, Probabilistic, TwoThreshold
+from dhtsim.adversary import (OneThreshold, Probabilistic, TwoThreshold,
+                              use_based_targets)
 from dhtsim.analysis import (
     OscillationModel,
     probabilistic_grid,
@@ -14,6 +15,7 @@ from dhtsim.analysis import (
     threshold_pair_grid,
     use_based_sim,
 )
+from dhtsim.idspace import Ring
 from dhtsim.sharedrep import METHODS
 from oracles import old_loop, selection_prob, use_based_trials
 
@@ -115,6 +117,27 @@ def test_model_validation():
     for lookups in (2.5, 3.0, "10"):
         with pytest.raises(ValueError):
             OscillationModel(0.01, 1, lookups=lookups)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: use_based_sim(2.5, 10, 1, 0.8, 0.8),
+    lambda: use_based_sim(1, 10, 1, 0.8, 0.8),
+    lambda: use_based_sim("64", 10, 1, 0.8, 0.8),
+    lambda: use_based_sim(64, 10.0, 1, 0.8, 0.8),
+    lambda: use_based_sim(64, 0, 1, 0.8, 0.8),
+    lambda: use_based_sim(64, 10, 2.0, 0.8, 0.8),
+    lambda: use_based_sim(64, 10, 7, 0.8, 0.8),
+    lambda: OscillationModel(0.01, 1, lookups=2.5),
+    lambda: use_based_targets(Ring(range(0, 256, 16), 8), 128, 2.5),
+    lambda: use_based_targets(Ring(range(0, 256, 16), 8), 128, 0),
+], ids=["sim-n-float", "sim-n-small", "sim-n-str", "sim-lookups-float",
+        "sim-lookups-zero", "sim-m-float", "sim-m-large",
+        "model-lookups-float", "targets-m-float", "targets-m-zero"])
+def test_size_arguments_raise_value_error(call):
+    # use_based_sim(2.5, ...) used to return 0.0, and use_based_targets
+    # with m=2.5 raised TypeError from range()
+    with pytest.raises(ValueError):
+        call()
 
 
 class Constant:

@@ -1,5 +1,6 @@
 """No dead entry points: every public class, function and method in
-dhtsim has a caller in the program.
+dhtsim has a caller in the program, and no module in dhtsim imports a
+name it never reads.
 
 The program is src/dhtsim plus the benchmark's non-test files under
 perfbench/.  Tests do not count: a name only a test calls belongs in
@@ -95,3 +96,18 @@ def test_every_public_function_has_a_caller():
     assert uncalled - UNCALLED == set(), "no caller in src/ or perfbench/"
     # an entry that gains a caller or goes away leaves the list
     assert UNCALLED - uncalled == set(), "stale UNCALLED entries"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = set()
+    for module, tree in trees(SRC):
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # import a.b binds a; from m import x as y binds y
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unused |= {"%s.%s" % (module, name) for name in imported - read}
+    assert unused == set(), "imported but never read"

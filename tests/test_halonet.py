@@ -17,12 +17,13 @@ from dhtsim.halonet import (
     classify_failure,
     halo_lookup,
 )
-from dhtsim.idspace import Ring, clockwise_closest, ring_distance
+from dhtsim.idspace import Ring, clockwise_closest
 from dhtsim.reputation import DEFAULT_PRIOR
 from oracles import (
     finger_bucket,
     knuckles,
     pointing_at,
+    ring_distance,
     ring_owner,
     ring_predecessor,
     ring_successors,

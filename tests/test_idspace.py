@@ -5,16 +5,15 @@ import pytest
 from dhtsim.idspace import (
     DEFAULT_BITS,
     Ring,
+    aligned_block,
     clockwise_closest,
-    ring_distance,
     sample_ids,
-    shared_prefix_bits,
     xor_closest,
-    xor_distance,
 )
 from dhtsim.kadnet import BETA, KadNetwork
-from oracles import (pointing_at, ring_owner, ring_predecessor,
-                     ring_successors, xor_nearest)
+from oracles import (pointing_at, ring_distance, ring_owner,
+                     ring_predecessor, ring_successors, shared_prefix_bits,
+                     xor_distance, xor_nearest)
 
 
 def test_ring_distance_examples():
@@ -45,7 +44,7 @@ def test_clockwise_closest_examples():
     assert clockwise_closest(250, [200, 3], bits=8) == 3
     assert clockwise_closest(7, [7, 8], bits=8) == 7
     with pytest.raises(ValueError):
-        clockwise_closest(1, [])
+        clockwise_closest(1, [], DEFAULT_BITS)
 
 
 def test_ring_distance_directional_sum():
@@ -74,10 +73,10 @@ def test_clockwise_closest_permutation_invariant():
     for _ in range(1000):
         cands = [rng.randrange(space) for _ in range(rng.randint(1, 8))]
         t = rng.randrange(space)
-        ref = clockwise_closest(t, cands)
+        ref = clockwise_closest(t, cands, DEFAULT_BITS)
         shuffled = cands[:]
         rng.shuffle(shuffled)
-        assert clockwise_closest(t, shuffled) == ref
+        assert clockwise_closest(t, shuffled, DEFAULT_BITS) == ref
 
 
 def test_shared_prefix_symmetry_and_bound():
@@ -196,6 +195,49 @@ def test_xor_closest_against_sorted_oracle():
         assert xor_closest(ids, key, count) == xor_nearest(ids, key, count)
 
 
+def block_filter(ids, key, level):
+    """The ids agreeing with key above bit level, by scanning them."""
+    return [u for u in ids if u >> level == key >> level]
+
+
+def test_aligned_block_against_brute_force_filter():
+    """Every level from 0 to bits, keys on ids, at block edges and
+    random, on lists down to empty."""
+    rng = random.Random(24)
+    for _ in range(200):
+        bits = rng.choice([4, 8, 12])
+        space = 1 << bits
+        ids = sample_ids(rng.randint(0, min(40, space)), rng, bits)
+        keys = [0, space - 1, rng.randrange(space)] + ids[:2]
+        for level in range(bits + 1):
+            width = 1 << level
+            base = rng.randrange(space) >> level << level
+            # both edges of one block, and the ids just outside it
+            keys += [base, base + width - 1, max(0, base - 1),
+                     min(space - 1, base + width)]
+        for key in keys:
+            for level in range(bits + 1):
+                block = aligned_block(ids, key, level)
+                assert block == block_filter(ids, key, level)
+                if block:
+                    assert block[0] >> level == key >> level
+    assert aligned_block([], 5, 3) == []
+    assert aligned_block([], 5, 0) == []
+    assert aligned_block([4, 5, 6], 5, 0) == [5]
+    assert aligned_block([4, 5, 6], 7, 0) == []
+    assert aligned_block([3, 4, 5, 8], 6, 2) == [4, 5]
+
+
+def test_aligned_block_above_every_bit_length_is_whole_list():
+    rng = random.Random(25)
+    ids = sample_ids(50, rng, 10)
+    for level in (10, 11, 32, 64):
+        for key in (0, 1023, rng.randrange(1 << 10)):
+            assert aligned_block(ids, key, level) == ids
+    # a fresh list, which xor_closest sorts in place
+    assert aligned_block(ids, 0, 10) is not ids
+
+
 def test_xor_closest_not_always_sorted_neighbor():
     # the id nearest by XOR need not be adjacent in sorted order
     ids = [0, 7]
@@ -204,7 +246,7 @@ def test_xor_closest_not_always_sorted_neighbor():
 
 def test_xor_closest_compressed_walk_against_oracle():
     rng = random.Random(21)
-    ids = sample_ids(300, rng)
+    ids = sample_ids(300, rng, DEFAULT_BITS)
     assert xor_closest([], 5, 3) == []
     assert xor_closest(ids, 5, 0) == []
     assert xor_closest(ids[:7], 5, 20) == xor_nearest(ids[:7], 5, 20)

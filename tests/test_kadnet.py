@@ -6,7 +6,7 @@ import pytest
 
 from dhtsim import kadnet
 from dhtsim.adversary import AttackPolicy
-from dhtsim.idspace import shared_prefix_bits, xor_distance
+from dhtsim.idspace import aligned_block
 from dhtsim.kadnet import (
     BETA,
     MODES,
@@ -22,7 +22,8 @@ from dhtsim.kadnet import (
     _iterate,
 )
 from oracles import (bootstrap_contacts, closest_colluders, colluders_within,
-                     random_key, truth_root, xor_nearest)
+                     kad_bucket, random_key, shared_prefix_bits, truth_root,
+                     xor_distance, xor_nearest)
 
 
 def returned_by(*queries):
@@ -131,7 +132,7 @@ class TestBuckets:
         for j in (0, 3, 9, 20):
             cand = self.peer(node, j)
             bucket_insert(net, node, cand)
-            assert cand in node.bucket(j, net.bits)
+            assert cand in kad_bucket(node, j, net.bits)
             assert shared_prefix_bits(node.id, cand) == j
 
     def test_self_insert_rejected(self):
@@ -147,7 +148,7 @@ class TestBuckets:
         bucket_insert(net, node, cand)
         first_seen = node.last_seen[cand]
         bucket_insert(net, node, cand)
-        assert node.bucket(4, net.bits).count(cand) == 1
+        assert kad_bucket(node, 4, net.bits).count(cand) == 1
         assert node.last_seen[cand] > first_seen
 
     def test_regular_eviction_drops_least_seen(self):
@@ -159,7 +160,7 @@ class TestBuckets:
         bucket_insert(net, node, a)        # refresh a: b is now stalest
         d = self.peer(node, 2, 4)
         bucket_insert(net, node, d)
-        assert node.bucket(2, net.bits) == sorted([a, c, d])
+        assert kad_bucket(node, 2, net.bits) == sorted([a, c, d])
 
     def test_reputed_eviction_drops_fewest_successes_then_least_seen(self):
         net = self.make_net()
@@ -173,7 +174,7 @@ class TestBuckets:
         # successes tie at 3 for b and c; b was seen earlier
         d = self.peer(node, 2, 4)
         bucket_insert(net, node, d, reds=True)
-        assert node.bucket(2, net.bits) == sorted([a, c, d])
+        assert kad_bucket(node, 2, net.bits) == sorted([a, c, d])
 
     def test_nonfull_bucket_appends(self):
         net = self.make_net()
@@ -181,12 +182,13 @@ class TestBuckets:
         a, b = self.peer(node, 5, 1), self.peer(node, 5, 2)
         bucket_insert(net, node, a)
         bucket_insert(net, node, b)
-        assert node.bucket(5, net.bits) == sorted([a, b])
+        assert kad_bucket(node, 5, net.bits) == sorted([a, b])
 
     def test_prefix_invariant_property(self):
         """Every bucket entry of every node shares exactly the bucket's
         index in leading bits, nowhere exceeding k entries, and each
-        bucket is exactly the node's contacts with that shared prefix."""
+        bucket is exactly the node's contacts with that shared prefix,
+        the aligned block bucket_insert reads for any of its members."""
         net = KadNetwork(300, colluding=0.15, seed=7)
         warmup(net, 2, policy=AttackPolicy(1.0, seed=1), seed=7)
         checked = 0
@@ -194,13 +196,15 @@ class TestBuckets:
             assert sorted(node.last_seen) == node.sorted_contacts
             all_entries = []
             for j in range(net.bits):
-                bucket = node.bucket(j, net.bits)
+                bucket = kad_bucket(node, j, net.bits)
                 assert bucket == [u for u in node.sorted_contacts
                                   if shared_prefix_bits(nid, u) == j]
                 assert len(bucket) <= net.k
                 for u in bucket:
                     assert shared_prefix_bits(nid, u) == j
                     assert u != nid
+                    assert aligned_block(node.sorted_contacts, u,
+                                         (nid ^ u).bit_length() - 1) == bucket
                     checked += 1
                 all_entries.extend(bucket)
             assert sorted(all_entries) == node.sorted_contacts

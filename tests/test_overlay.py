@@ -6,8 +6,8 @@ import random
 import pytest
 
 from dhtsim.adversary import AttackPolicy
-from dhtsim.halonet import HaloNetwork
-from dhtsim.kadnet import KadNetwork
+from dhtsim.halonet import HaloNetwork, halo_lookup
+from dhtsim.kadnet import KadNetwork, kad_lookup
 
 OVERLAYS = pytest.mark.parametrize("overlay", [HaloNetwork, KadNetwork],
                                    ids=["halo", "kad"])
@@ -101,3 +101,20 @@ def test_size_arguments_must_be_integers(overlay):
         with pytest.raises(ValueError):
             overlay(20, bits=bits)
     assert len(overlay(20, bits=10).ring) == 20
+
+
+@pytest.mark.parametrize("overlay, lookup", [
+    (HaloNetwork, halo_lookup), (KadNetwork, kad_lookup)],
+    ids=["halo", "kad"])
+def test_lookup_rejects_a_bad_key_before_taking_a_serial(overlay, lookup):
+    # a non-integer key used to take a serial, then raise TypeError
+    # mid-lookup
+    net = overlay(50, colluding=0.2, seed=5, bits=16)
+    origin = net.honest_nodes()[0]
+    policy = AttackPolicy(1.0, seed=1)
+    for key in (1234.5, 7.0, "7", None, -1, net.space):
+        with pytest.raises(ValueError):
+            lookup(net, origin, key, policy=policy)
+    assert net.serial == 0
+    lookup(net, origin, net.space - 1, policy=policy)
+    assert net.serial == 1
