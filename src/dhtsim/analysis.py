@@ -13,7 +13,7 @@ import math
 import random
 
 from .overlay import require_int
-from .sharedrep import _check_method, aggregate
+from .sharedrep import aggregate, check_method
 
 DEFAULT_HONEST_SCORE = 0.90
 DEFAULT_LOOKUPS = 20000
@@ -147,7 +147,7 @@ def use_based_sim(n, lookups, m, s, f, method="dropoff", seed=0,
     k = int(math.log2(n))
     require_int("m", m, 1, k)
     require_int("lookups", lookups, 1)
-    _check_method(method)
+    check_method(method)
     if not all(0.0 <= v <= 1.0 for v in (s, f, victim_presence)):
         raise ValueError("s, f and victim_presence must lie in [0, 1]")
     rng = random.Random(seed)

@@ -29,10 +29,10 @@ Chord accepts the first member this lookup has not contacted yet; ReDS
 accepts the best-scored member when it scores at least JOIN_SCORE.
 Only the per-bucket pick differs between the two.
 
-Membership (ids, colluders, stores, join, leave and the attack coin)
-is the shared core in overlay.Overlay.  Stores hold first-hand counts
-only: the join order of late nodes, from which first_hand_score derives
-the join prior, is kept on the network.
+Membership (ids, colluders, stores, join, leave and lookup admission
+with its attack coin) is the shared core in overlay.Overlay.  Stores
+hold first-hand counts only: the join order of late nodes, from which
+first_hand_score derives the join prior, is kept on the network.
 """
 
 from bisect import bisect_left, bisect_right
@@ -69,7 +69,7 @@ class Subsearch:
     """Outcome of one finger-offset probe of a redundant lookup."""
 
     __slots__ = ("offset", "path", "neighbor", "candidate", "contacts",
-                 "hijack", "agreed")
+                 "hijack")
 
     def __init__(self, offset, path, neighbor, candidate, contacts,
                  hijack):
@@ -79,7 +79,6 @@ class Subsearch:
         self.candidate = candidate
         self.contacts = contacts
         self.hijack = hijack          # None or a colluder failure reason
-        self.agreed = None            # set after consolidation
 
 
 class LookupOutcome:
@@ -112,6 +111,8 @@ class HaloNetwork(Overlay):
     """Live ring state: the Overlay membership plus the join order of
     late nodes and the shared scores an exchange installs."""
 
+    MODES = MODES
+
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  bucket_size=BUCKET_SIZE, successor_count=SUCCESSOR_COUNT,
                  redundancy=None):
@@ -128,6 +129,7 @@ class HaloNetwork(Overlay):
         self.redundancy = redundancy
         self.score_overrides = {}   # node -> {contact -> shared score}
         self.joined = {}            # live late joiner -> join order
+        self.joins = 0              # late joins so far, departed included
 
     def closest_colluder(self, target):
         """First colluder at or after target, wrapping."""
@@ -153,24 +155,27 @@ class HaloNetwork(Overlay):
         return self.first_hand_score(nid, contact)
 
     def leave(self, nid):
+        """Drop nid and every count, shared score and join order naming
+        it.  A later join may draw nid again; this purge is what keeps
+        that joiner from inheriting the departed node's record."""
         super().leave(nid)
         self.joined.pop(nid, None)
         self.score_overrides.pop(nid, None)
-        # ids are never reused, so no table reads nid's entry again
         for store in self.stores.values():
             store.forget(nid)
         for shared in self.score_overrides.values():
             shared.pop(nid, None)
 
     def join(self, malicious=False):
-        """Add one node under a fresh id (see Overlay.join).
+        """Add one node under an id no live node holds (see Overlay.join).
 
         Its join order is recorded, so nodes already live score it from
         the low JOIN_SCORE and a white-washing rejoin starts below any
         established track record.
         """
         nid = super().join(malicious)
-        self.joined[nid] = len(self._used_ids)   # grows with every join
+        self.joins += 1
+        self.joined[nid] = self.joins
         return nid
 
 
@@ -300,18 +305,16 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
                 record=False):
     """Run one redundant lookup and consolidate the subsearch answers.
 
-    The target's owner, the live node just before it (kept on the
-    outcome for classify_failure) and, in an attacked lookup, the
-    colluders' answer are read once and shared by every subsearch.
+    net.begin_lookup admits it (mode, target and origin).  The target's
+    owner, the live node just before it (kept on the outcome for
+    classify_failure) and, in an attacked lookup, the colluders' answer
+    are read once and shared by every subsearch.
     With record, in the reputation-guided modes, the origin counts one
     use of the first contact on each subsearch path that has one, a
-    success when that subsearch agreed with the consolidated answer;
+    success when that subsearch's candidate is the consolidated answer;
     those counters drive its contact selection.
     """
-    if mode not in MODES:
-        raise ValueError("unknown mode %r" % mode)
-    require_int("target", target, 0, net.space - 1)
-    attacked = net.attack_coin(origin, policy)
+    attacked = net.begin_lookup(origin, target, mode, policy)
     ids = net.ring.ids
     i = bisect_left(ids, target)
     owner, before = ids[i % len(ids)], ids[i - 1]
@@ -327,11 +330,11 @@ def halo_lookup(net, origin, target, mode="regular", policy=None,
         subs.append(sub)
     answer = clockwise_closest(
         target, [s.candidate for s in subs], net.bits)
-    store = net.stores[origin]
-    for s in subs:
-        s.agreed = s.candidate == answer
-        if record and mode in REPUTED_MODES and s.path:
-            store.record(s.path[0], s.agreed)
+    if record and mode in REPUTED_MODES:
+        store = net.stores[origin]
+        for s in subs:
+            if s.path:
+                store.record(s.path[0], s.candidate == answer)
     return LookupOutcome(origin, target, owner, before, answer, attacked,
                          mode, subs)
 

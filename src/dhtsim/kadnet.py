@@ -23,8 +23,13 @@ Eviction counts successes, not the score: failures do not count against
 a contact, so one with 3 successes in 100 uses outlives one with no
 record at all.
 
-Membership (ids, colluders, stores, join, leave and the attack coin)
-is the shared core, overlay.Overlay; KadNetwork adds the contacts.
+Membership (ids, colluders, stores, join, leave and lookup admission
+with its attack coin) is the shared core, overlay.Overlay; KadNetwork
+adds the contacts.  Departed contacts are purged lazily, when a lookup
+finds them gone, so a contact list or a score table may still name a
+departed id that a joiner then draws again, and the joiner inherits
+that entry.  The chance per join is the number of departed ids over
+2**bits.
 
 Lookup accounting reads one map per lookup: each contact a query
 returned, mapped to the queried nodes that returned it, in arrival
@@ -102,6 +107,8 @@ class KadNetwork(Overlay):
     """Live overlay state: the Overlay membership plus each node's
     contacts.  ids is the ring's sorted id list itself."""
 
+    MODES = MODES
+
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS,
                  k=DEFAULT_K, replica_count=DEFAULT_REPLICAS,
                  tolerance_bits=DEFAULT_TOLERANCE_BITS):
@@ -167,8 +174,9 @@ class KadNetwork(Overlay):
         del self.nodes[nid]
 
     def join(self, malicious=False):
-        """Add a node under a fresh id (see Overlay.join), seed it with
-        random contacts, and have it look up its own id through them."""
+        """Add a node under an id no live node holds (see Overlay.join),
+        seed it with random contacts, and have it look up its own id
+        through them."""
         nid = super().join(malicious)
         self.nodes[nid] = KadNode(nid)
         self._seed_contacts(nid)
@@ -362,7 +370,7 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
 
 def kad_lookup(net, q, key, mode="regular", policy=None):
     """Iterative lookup from q for key; returns the outcome with its
-    returned-by map.
+    returned-by map.  net.begin_lookup admits it (mode, key and origin).
 
     The lookup succeeds when the closest root claimed to q is the true
     closest replica root; on success every node on a returning path is
@@ -373,10 +381,7 @@ def kad_lookup(net, q, key, mode="regular", policy=None):
     lookup succeeds, and nothing is recorded: no contact could have
     returned q, so none is blamed or credited.
     """
-    if mode not in MODES:
-        raise ValueError("unknown mode %r" % (mode,))
-    require_int("key", key, 0, net.space - 1)
-    attacked = net.attack_coin(q, policy)
+    attacked = net.begin_lookup(q, key, mode, policy)
     store = net.stores[q]
     roots = net.replica_roots(key)
     truth = roots[0] if roots else None

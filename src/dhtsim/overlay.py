@@ -2,12 +2,15 @@
 
 Both overlays draw their members the same way from one seeded rng: n
 distinct uniform ids, then the colluders among them, then one seeded
-reputation store per honest node in id order.  A join draws a fresh id
-that was never used before and, for an honest joiner, its store's seed;
-a leave drops the node from the live ids and from its role.  Every
-scored lookup takes the next lookup serial and draws its attack coin
-from it here, so all colluders a lookup meets agree on one coin.
-Subclasses keep only their routing state and add to join and leave.
+reputation store per honest node in id order.  The live ring is the
+only record of membership: a join draws an id that no live node holds
+and, for an honest joiner, its store's seed, so an id can come back
+after its node departs; a leave drops the node from the live ids and
+from its role.  Every scored lookup is admitted here by begin_lookup,
+which checks its mode, key and origin, then takes the next lookup
+serial and draws its attack coin from it, so all colluders a lookup
+meets agree on one coin.  Subclasses keep only their routing state and
+add to join and leave.
 """
 
 import random
@@ -27,7 +30,8 @@ def require_int(name, value, low, high=None):
 
 
 class Overlay:
-    """Live members: sorted ids, colluder set, per-node reputation."""
+    """Live members: sorted ids, colluder set, per-node reputation.
+    Each subclass names its lookup modes in the class attribute MODES."""
 
     def __init__(self, n, colluding=0.0, seed=0, bits=DEFAULT_BITS):
         require_int("n", n, 2)
@@ -44,7 +48,6 @@ class Overlay:
         self.colluders = sorted(bad)
         self.stores = {v: self._new_store()
                        for v in ids if v not in self.malicious}
-        self._used_ids = set(ids)
         self.serial = 0
 
     def _new_store(self):
@@ -59,14 +62,13 @@ class Overlay:
         return list(self.stores)
 
     def join(self, malicious=False):
-        """Add one node under a fresh uniform id, never reusing an id."""
-        if len(self._used_ids) >= self.space:
-            raise ValueError("every id in the space has been used")
-        while True:
+        """Add one node under a uniform id that no live node holds; a
+        departed node's id may be drawn again."""
+        if len(self.ring) >= self.space:
+            raise ValueError("every id in the space is live")
+        nid = self.rng.randrange(self.space)
+        while nid in self.ring:
             nid = self.rng.randrange(self.space)
-            if nid not in self._used_ids:
-                break
-        self._used_ids.add(nid)
         self.ring.add(nid)
         if malicious:
             self.malicious.add(nid)
@@ -83,13 +85,19 @@ class Overlay:
         else:
             del self.stores[nid]
 
-    def attack_coin(self, origin, policy):
-        """Whether the scored lookup origin starts now is attacked.
+    def begin_lookup(self, origin, key, mode, policy):
+        """Admit one scored lookup for key from origin in mode, and
+        return whether it is attacked.
 
-        origin must be a live honest node (its store records the
-        lookup).  The lookup takes the next serial even without a
-        policy, so serials count every scored lookup.
+        mode must be one of the class's MODES, key an id of the space
+        and origin a live honest node (its store records the lookup),
+        checked in that order; a rejected lookup takes no serial.  An
+        admitted one takes the next serial even without a policy, so
+        serials count every scored lookup.
         """
+        if mode not in self.MODES:
+            raise ValueError("unknown mode %r" % (mode,))
+        require_int("key", key, 0, self.space - 1)
         if origin not in self.stores:
             raise ValueError("lookup origin %r is not a live honest node"
                              % (origin,))

@@ -28,7 +28,8 @@ GRID_STEPS = 200   # the drop-off forger searches reports s / GRID_STEPS
 _GRID = tuple(s / GRID_STEPS for s in range(GRID_STEPS + 1))
 
 
-def _check_method(method):
+def check_method(method):
+    """method, when it names one of METHODS, else a ValueError."""
     if method not in METHODS:
         raise ValueError("unknown aggregation method: %r" % (method,))
     return method
@@ -48,7 +49,7 @@ def aggregate(method, own, received, rng=None):
     drop-off without an rng is a ValueError.  With nothing received (or
     nothing admitted) the node keeps its own first-hand score.
     """
-    if _check_method(method) == "dropoff" and rng is None:
+    if check_method(method) == "dropoff" and rng is None:
         raise ValueError("drop-off aggregation needs an rng")
     own = _clamp(own)
     received = [_clamp(v) for v in received]
@@ -129,7 +130,14 @@ class SharedExchange:
 
     At each boundary every honest holder of a finger broadcasts its
     first-hand score for it, but only when the score changed since the
-    previous epoch; receivers keep the latest report per sender.
+    previous epoch; receivers keep the latest report per sender.  A
+    departed sender's reports are pruned at the next epoch, but a joiner
+    may draw the same id first: if it holds the same finger, it keeps
+    its predecessor's last report, in its predecessor's place in the
+    table's order, until it broadcasts its own score.  The table then
+    ends the broadcast pass holding the values a fresh sender would
+    leave, so only the broadcast count and the order the reports are
+    folded in (and drop-off's draws paired with them) can differ.
     Colluding holders are not bound by the protocol: they inject a
     report tailored per receiver against the aggregation method,
     promoting colluding fingers and slandering honest ones.  Each
@@ -148,7 +156,7 @@ class SharedExchange:
 
     def __init__(self, net, method="dropoff", seed=0, adversarial=True):
         self.net = net
-        self.method = _check_method(method)
+        self.method = check_method(method)
         self.rng = random.Random(seed)
         self.adversarial = adversarial
         self.reports = {}     # finger -> {honest sender: latest value}

@@ -1,6 +1,7 @@
 """No dead entry points: every public class, function and method in
-dhtsim has a caller in the program, and no module in dhtsim imports a
-name it never reads.
+dhtsim has a caller in the program, no module in dhtsim imports a name
+it never reads, and modules reach each other only through public
+names.
 
 The program is src/dhtsim plus the benchmark's non-test files under
 perfbench/.  Tests do not count: a name only a test calls belongs in
@@ -111,3 +112,31 @@ def test_no_module_imports_a_name_it_never_reads():
                 read.add(node.id)
         unused |= {"%s.%s" % (module, name) for name in imported - read}
     assert unused == set(), "imported but never read"
+
+
+def test_modules_reach_each_other_only_through_public_names():
+    # a module may read a ._name only where it assigns or defines that
+    # name itself, and may import no _name from another module; dunder
+    # names are protocol, not private state
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    leaks = set()
+    for module, tree in trees(SRC):
+        own, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                leaks.update("%s imports %s.%s" % (module, node.module,
+                                                   alias.name)
+                             for alias in node.names if private(alias.name))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Name) and \
+                    not isinstance(node.ctx, ast.Load):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                (read if isinstance(node.ctx, ast.Load) else own).add(
+                    node.attr)
+        leaks |= {"%s reads .%s" % (module, name)
+                  for name in read - own if private(name)}
+    assert leaks == set(), "private names read across modules"

@@ -632,7 +632,7 @@ def test_reds_next_hop_avoids_low_scored_contact():
 def test_recorded_lookup_counts_first_contact_per_subsearch():
     # replay oracle: a recorded reputed lookup adds one use of the first
     # contact of every subsearch that contacted anyone, a success when
-    # the subsearch agreed with the answer; nothing else is written
+    # the subsearch's candidate is the answer; nothing else is written
     net = HaloNetwork(300, colluding=0.2, seed=36)
     policy = AttackPolicy(0.5, seed=36)
     rng = random.Random(36)
@@ -649,8 +649,9 @@ def test_recorded_lookup_counts_first_contact_per_subsearch():
             if s.path:
                 c = want[origin].setdefault(s.path[0], [0, 0])
                 c[1] += 1
-                c[0] += s.agreed
-                outcomes.add(s.agreed)
+                agreed = s.candidate == out.answer
+                c[0] += agreed
+                outcomes.add(agreed)
     assert outcomes == {True, False}
     assert {v: st.counts for v, st in net.stores.items()} == want
 

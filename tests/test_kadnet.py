@@ -502,7 +502,7 @@ class TestLookup:
     def test_join_uses_fresh_id_and_is_reachable(self):
         net = KadNetwork(150, seed=14)
         warmup(net, 3, seed=14)
-        seen = set(net._used_ids)
+        seen = set(net.ids)
         nid = net.join()
         assert nid not in seen
         assert nid in net.nodes and nid in net.stores

@@ -369,9 +369,9 @@ def test_exchanges_share_no_report_cache():
 
 
 def test_churn_leaves_no_departed_id_behind():
-    # ids are never reused, so nothing said about a departed node is read
-    # again: no store may keep its counter or a tie set naming it, no
-    # shared-score table may hold it, and after the next epoch no
+    # nothing said about a node that departed and is not live again is
+    # read again: no store may keep its counter or a tie set naming it,
+    # no shared-score table may hold it, and after the next epoch no
     # exchange report may either
     net = HaloNetwork(100, 0.2, seed=21)
     policy = AttackPolicy(1.0, seed=21)
@@ -394,7 +394,7 @@ def test_churn_leaves_no_departed_id_behind():
             was_bad = net.is_malicious(gone)
             net.leave(gone)
             departed.add(gone)
-            net.join(malicious=was_bad)
+            departed.discard(net.join(malicious=was_bad))
             for st in net.stores.values():
                 assert departed.isdisjoint(st.counts)
                 assert all(departed.isdisjoint(sig) for sig in st._tie_choice)
