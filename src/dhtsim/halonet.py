@@ -155,14 +155,13 @@ class HaloNetwork(Overlay):
         return self.first_hand_score(nid, contact)
 
     def leave(self, nid):
-        """Drop nid and every count, shared score and join order naming
-        it.  A later join may draw nid again; this purge is what keeps
-        that joiner from inheriting the departed node's record."""
+        """Drop nid as Overlay.leave does, which forgets it in every
+        store, then its join order and every shared score naming it.  A
+        later join may draw nid again; this purge is what keeps that
+        joiner from inheriting the departed node's record."""
         super().leave(nid)
         self.joined.pop(nid, None)
         self.score_overrides.pop(nid, None)
-        for store in self.stores.values():
-            store.forget(nid)
         for shared in self.score_overrides.values():
             shared.pop(nid, None)
 

@@ -25,11 +25,12 @@ record at all.
 
 Membership (ids, colluders, stores, join, leave and lookup admission
 with its attack coin) is the shared core, overlay.Overlay; KadNetwork
-adds the contacts.  Departed contacts are purged lazily, when a lookup
-finds them gone, so a contact list or a score table may still name a
-departed id that a joiner then draws again, and the joiner inherits
-that entry.  The chance per join is the number of departed ids over
-2**bits.
+adds the contacts.  A leave forgets the leaver in every store at once
+(Overlay.leave), but Kademlia learns of a departure only by asking, so
+departed contacts leave contact lists lazily, when a lookup finds them
+gone.  Until then a contact list may still name a departed id that a
+joiner then draws again, and the joiner inherits that entry.  The
+chance per join is the number of departed ids over 2**bits.
 
 Lookup accounting reads one map per lookup: each contact a query
 returned, mapped to the queried nodes that returned it, in arrival
@@ -305,9 +306,9 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
     the ALPHA best unqueried entries each step: closest-first
     normally, or by q's own scores in the reputation modes.  The search
     ends when the net.k closest entries have all been queried.  A
-    contact found departed leaves the shortlist, q's buckets and q's
-    score table at once; dist keeps it, so no later reply puts it
-    back.
+    contact found departed leaves the shortlist and q's buckets at
+    once (its leave already cleared every score table); dist keeps it,
+    so no later reply puts it back.
 
     q never enters its own shortlist, so no contact can return it; when
     q is itself a replica root it nominates itself instead, and can
@@ -341,11 +342,10 @@ def _iterate(net, q, key, mode, attacked, roots, graph=None):
             queried.add(v)
             node_v = nodes.get(v)
             if node_v is None:
-                # observed departure: forget the contact everywhere
+                # observed departure: drop the contact from this
+                # search and from q's contacts
                 shortlist.remove((dist[v], v))
                 node_q.drop(v)
-                if store is not None:
-                    store.forget(v)
                 continue
             returned, answer = _answer(net, v, key, attacked, mode, roots,
                                        truth, ranked)

@@ -6,11 +6,14 @@ reputation store per honest node in id order.  The live ring is the
 only record of membership: a join draws an id that no live node holds
 and, for an honest joiner, its store's seed, so an id can come back
 after its node departs; a leave drops the node from the live ids and
-from its role.  Every scored lookup is admitted here by begin_lookup,
-which checks its mode, key and origin, then takes the next lookup
-serial and draws its attack coin from it, so all colluders a lookup
-meets agree on one coin.  Subclasses keep only their routing state and
-add to join and leave.
+from its role.  The leave is also the one place either overlay forgets
+a departed node in the stores: it drops the node's counter and tie
+sets from every remaining one, so a joiner that draws the id again
+inherits no record.  Every scored lookup is admitted here by
+begin_lookup, which checks its mode, key and origin, then takes the
+next lookup serial and draws its attack coin from it, so all colluders
+a lookup meets agree on one coin.  Subclasses keep only their routing
+state and add to join and leave.
 """
 
 import random
@@ -78,12 +81,16 @@ class Overlay:
         return nid
 
     def leave(self, nid):
+        """Drop nid from the live ids and its role, and forget it in
+        every remaining store."""
         self.ring.remove(nid)
         if nid in self.malicious:
             self.malicious.discard(nid)
             del self.colluders[bisect_left(self.colluders, nid)]
         else:
             del self.stores[nid]
+        for store in self.stores.values():
+            store.forget(nid)
 
     def begin_lookup(self, origin, key, mode, policy):
         """Admit one scored lookup for key from origin in mode, and

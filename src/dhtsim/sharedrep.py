@@ -130,14 +130,18 @@ class SharedExchange:
 
     At each boundary every honest holder of a finger broadcasts its
     first-hand score for it, but only when the score changed since the
-    previous epoch; receivers keep the latest report per sender.  A
-    departed sender's reports are pruned at the next epoch, but a joiner
-    may draw the same id first: if it holds the same finger, it keeps
-    its predecessor's last report, in its predecessor's place in the
-    table's order, until it broadcasts its own score.  The table then
-    ends the broadcast pass holding the values a fresh sender would
-    leave, so only the broadcast count and the order the reports are
-    folded in (and drop-off's draws paired with them) can differ.
+    previous epoch; receivers keep the latest report per sender.  The
+    broadcast pass builds the report tables afresh: one per finger with
+    a live honest holder, holding those holders' old reports in their
+    old order.  So a departed sender's reports, and the table of a
+    finger that departed or lost its last honest holder, are dropped
+    there.  A joiner may draw a departed id first: if it holds the same
+    finger, it keeps its predecessor's last report, in its
+    predecessor's place in the table's order, until it broadcasts its
+    own score.  The table then ends the broadcast pass holding the
+    values a fresh sender would leave, so only the broadcast count and
+    the order the reports are folded in (and drop-off's draws paired
+    with them) can differ.
     Colluding holders are not bound by the protocol: they inject a
     report tailored per receiver against the aggregation method,
     promoting colluding fingers and slandering honest ones.  Each
@@ -145,13 +149,13 @@ class SharedExchange:
     where routing reads it in place of the first-hand score.
 
     An epoch runs three passes over one list of (finger, honest
-    holders, colluder count).  The first broadcasts changed scores.  The
-    second forges one report per (finger, honest holder) with colluders,
-    sorted by (colluder count, rounded own score), the inputs of the
-    drop-off grid's colluder columns, so each group's columns are built
-    once and dropped before the next group's.  The third folds every
-    aggregate in holder order, so the grouping moves no draw of the
-    exchange's rng.
+    holders, colluder count).  The first rebuilds the report tables and
+    broadcasts changed scores.  The second forges one report per
+    (finger, honest holder) with colluders, sorted by (colluder count,
+    rounded own score), the inputs of the drop-off grid's colluder
+    columns, so each group's columns are built once and dropped before
+    the next group's.  The third folds every aggregate in holder order,
+    so the grouping moves no draw of the exchange's rng.
     """
 
     def __init__(self, net, method="dropoff", seed=0, adversarial=True):
@@ -201,15 +205,17 @@ class SharedExchange:
         first-hand score moved since the previous boundary.
         """
         net = self.net
-        holders = self.finger_holders()
-        self._prune(holders)
+        old = self.reports
+        self.reports = {}
         sent = 0
         folds = []   # (finger, honest holders, colluder count)
-        for f, hs in holders.items():
+        for f, hs in self.finger_holders().items():
             honest = [u for u in hs if u in net.stores]
             if not honest:
                 continue
-            table = self.reports.setdefault(f, {})
+            # the live honest holders' old reports keep their order
+            table = self.reports[f] = {
+                s: v for s, v in old.get(f, {}).items() if s in honest}
             for k in honest:
                 r = net.first_hand_score(k, f)
                 if table.get(k) != r:
@@ -248,16 +254,3 @@ class SharedExchange:
                 net.score_overrides.setdefault(k, {})[f] = aggregate(
                     self.method, table[k], received, self.rng)
         return sent
-
-    def _prune(self, holders):
-        """Forget reports about departed fingers and from ex-holders."""
-        for f in list(self.reports):
-            hs = holders.get(f)
-            if hs is None:
-                del self.reports[f]
-                continue
-            live = set(hs)
-            table = self.reports[f]
-            for s in list(table):
-                if s not in live or s not in self.net.stores:
-                    del table[s]

@@ -494,6 +494,10 @@ class TestLookup:
                    key=lambda u: net.stores[q].score(u))
         assert gone in net.stores[q].counts
         net.leave(gone)
+        # the leave clears every store at once, but q's contacts learn
+        # of the departure only when a lookup queries gone
+        assert gone not in net.stores[q].counts
+        assert gone in node_q.last_seen
         for _ in range(40):
             kad_lookup(net, q, net.random_key(rng))
         assert gone not in node_q.last_seen

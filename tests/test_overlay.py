@@ -55,6 +55,37 @@ def test_churn_ops_and_fresh_ids(overlay):
 
 
 @OVERLAYS
+def test_leave_forgets_the_leaver_in_every_store(overlay):
+    # Kad's leave used to forget nothing: a departed contact was dropped
+    # only from a querier's own store, when that querier queried it
+    net = overlay(100, colluding=0.2, seed=29)
+    if overlay is KadNetwork:
+        warmup(net, 2, seed=29)
+    else:
+        rng = random.Random(29)
+        for origin in net.honest_nodes() * 2:
+            halo_lookup(net, origin, rng.randrange(net.space),
+                        mode="collaborative", record=True)
+    stores = list(net.stores.values())
+
+    def naming(u):
+        """Stores counting u, and stores with a tie set naming u."""
+        return (sum(u in st.counts for st in stores),
+                sum(any(u in sig for sig in st._tie_choice)
+                    for st in stores))
+
+    gone = max(net.ring.ids, key=naming)
+    counted, tied = naming(gone)
+    assert counted > 10
+    if overlay is HaloNetwork:
+        assert tied > 10   # Kad's stores never break a tie
+    net.leave(gone)
+    for st in net.stores.values():
+        assert gone not in st.counts
+        assert all(gone not in sig for sig in st._tie_choice)
+
+
+@OVERLAYS
 def test_begin_lookup_takes_one_serial_per_lookup(overlay):
     net = overlay(50, colluding=0.2, seed=4)
     policy = AttackPolicy(0.5, seed=9)

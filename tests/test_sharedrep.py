@@ -408,6 +408,11 @@ def test_churn_leaves_no_departed_id_behind():
             ex.run_epoch()
             assert departed.isdisjoint(ex.reports)
             assert all(departed.isdisjoint(t) for t in ex.reports.values())
+            # a table is kept exactly for each finger with a live honest
+            # holder; an empty table used to outlive its last one
+            assert set(ex.reports) == {
+                f for f, hs in ex.finger_holders().items()
+                if any(u in net.stores for u in hs)}
     assert counted > 20 and tied > 20 and stale > 20
     assert overridden > 20
 
@@ -424,13 +429,20 @@ class PerRequestExchange(SharedExchange):
     def run_epoch(self):
         net = self.net
         holders = self.finger_holders()
-        self._prune(holders)
+        old_reports = self.reports
+        self.reports = {}
         sent = 0
         for f, hs in holders.items():
             honest = [u for u in hs if u in net.stores]
             if not honest:
                 continue
-            table = self.reports.setdefault(f, {})
+            # a table per finger with a live honest holder, keeping only
+            # those holders' old reports, in their old order
+            table = {}
+            for s, v in old_reports.get(f, {}).items():
+                if s in honest:
+                    table[s] = v
+            self.reports[f] = table
             for k in honest:
                 r = net.first_hand_score(k, f)
                 if table.get(k) != r:
